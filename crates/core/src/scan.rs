@@ -318,7 +318,7 @@ const LANES: usize = crate::simd::GROUP_LANES;
 /// — and therefore every answer and every statistic — are identical.
 ///
 /// `SIMD` selects the vector backend for the skip-root solve, arms the
-/// lookahead memo (see [`lane_step`]), and — for `K = 2` on AVX2 —
+/// lookahead memo (see [`lane_step`]), and — on AVX2, for both alphabets —
 /// dispatches whole rounds to the packed group examine whenever no lane
 /// holds a memo and none can observe (every lane failing the budget
 /// pre-filter pins the shared budget, making the round order-free). Both
@@ -356,7 +356,7 @@ fn scan_starts_fixed<const K: usize, const SIMD: bool, C: CountSource, P: Policy
     let mut starts = starts;
     let mut lanes: [Option<Lane<K>>; LANES] = std::array::from_fn(|_| None);
     // The packed group examine needs exact i32 → f64 count converts.
-    let group_ok = SIMD && K == 2 && crate::simd::group2_available() && pc.n() < (1 << 31);
+    let group_ok = SIMD && crate::simd::group_available() && pc.n() < (1 << 31);
     loop {
         // Refill phase: empty slots pull the next start, in slot order.
         let mut any_live = false;
@@ -381,14 +381,18 @@ fn scan_starts_fixed<const K: usize, const SIMD: bool, C: CountSource, P: Policy
         {
             let budget = policy.budget();
             if budget > 0.0 && budget.is_finite() {
-                let mut cnts = [[0u32; 2]; LANES];
+                // Character-major counts: one row of lane counts per
+                // character, as the packed examine loads them.
+                let mut cnts = [[0u32; LANES]; K];
                 let mut lfs = [0.0f64; LANES];
                 for (i, slot) in lanes.iter().enumerate() {
                     let l = slot.as_ref().unwrap();
-                    cnts[i] = [l.counts[0], l.counts[1]];
+                    for (row, &c) in cnts.iter_mut().zip(&l.counts) {
+                        row[i] = c;
+                    }
                     lfs[i] = (l.end - l.start) as f64;
                 }
-                if let Some(skips) = crate::simd::group_examine2(&cnts, &lfs, budget, &tables) {
+                if let Some(skips) = crate::simd::group_examine::<K>(&cnts, &lfs, budget, &tables) {
                     stats.examined += LANES as u64;
                     for (i, slot) in lanes.iter_mut().enumerate() {
                         let l = slot.as_mut().unwrap();

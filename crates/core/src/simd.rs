@@ -23,12 +23,15 @@
 //!   only consumed while the pruning budget is bit-unchanged, so the
 //!   candidate stream (scores, skips, stats) is provably identical to the
 //!   unbatched scalar scan.
+//! * **Group examine** — [`group_examine`] runs the pre-filter, skip-root
+//!   solve and first verification for all twelve interleaved scan lanes
+//!   of a `K = 2` or `K = 4` kernel at once, one lane per `f64` slot.
 //!
 //! # Dispatch
 //!
 //! The level is detected once ([`is_x86_feature_detected!`]) and cached:
 //! `Sse2` is the `x86_64` baseline, `Avx2` upgrades the 8-wide integer
-//! kernels, and every other architecture (or the
+//! kernels and enables the group examine, and every other architecture (or the
 //! [`SIGSTR_FORCE_SCALAR`](FORCE_SCALAR_ENV) override /
 //! [`set_force_scalar`]) runs the portable scalar fallbacks. Because every
 //! kernel is bit-exact, the dispatch never changes an answer — only the
@@ -457,15 +460,15 @@ pub(crate) fn roots_hi_fixed<const K: usize>(
 /// every statistic — is identical under both dispatch modes.
 ///
 /// Twelve lanes keep enough independent solve chains in flight to cover the
-/// `sqrt → floor → resync` latency of each one; for `K = 2` the group
-/// examine packs all twelve into six 4-wide `f64` vectors (two lanes per
-/// vector).
+/// `sqrt → floor → resync` latency of each one; the group examine puts one
+/// lane per `f64` slot, so the twelve fill three 4-wide vectors for any
+/// alphabet size.
 pub(crate) const GROUP_LANES: usize = 12;
 
-/// Whether the fully-packed `K = 2` group examine ([`group_examine2`]) is
-/// available at the current dispatch level.
+/// Whether the packed group examine ([`group_examine`]) is available at the
+/// current dispatch level.
 #[inline]
-pub(crate) fn group2_available() -> bool {
+pub(crate) fn group_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         level() == SimdLevel::Avx2
@@ -474,87 +477,96 @@ pub(crate) fn group2_available() -> bool {
     false
 }
 
-/// Fully-packed examine step for **all [`GROUP_LANES`] interleaved `K = 2`
-/// scan lanes**: weighted square sums, budget pre-filter, skip-root solve
-/// and first verification pass, in four 4-wide `f64` vectors (two scan
-/// lanes per vector, `[a₀, a₁, b₀, b₁]`, character per slot).
+/// Packed examine step for **all [`GROUP_LANES`] interleaved scan lanes**
+/// of a `K`-letter kernel (`K ∈ {2, 4}`): weighted square sums, budget
+/// pre-filter, skip-root solve and first verification pass, with one scan
+/// lane per `f64` slot (three 4-wide vectors) and the characters visited in
+/// index order. `counts[m][i]` is lane `i`'s count of character `m`.
 ///
 /// Returns `None` when any lane passes the pre-filter — that lane must
 /// observe, which can move the budget between steps, so the caller replays
 /// the whole round sequentially (recomputing the same sums). Otherwise no
 /// lane observes, the budget is pinned for the round, and the returned
-/// skips are bit-identical to [`GROUP_LANES`] sequential scalar steps:
+/// skips are bit-identical to [`GROUP_LANES`] sequential scalar steps,
+/// because every slot runs the scalar op sequence of `lane_step` →
+/// [`crate::skip::skip_from_ws_fixed`] → `finish_below_budget`:
 ///
 /// * counts convert exactly (`vcvtdq2pd`; the caller guarantees they fit
-///   in an `i32`), and the packed square-sum (`haddpd`) folds the two
-///   `y²/p` terms of each lane in one addition — IEEE addition is
-///   commutative, so the bits match the scalar left-to-right fold;
-/// * pre-filter, `u`, `t` and `tol` use the scalar op sequence per lane
-///   (`budget.abs()` is the identity here — the caller guarantees a
-///   positive finite budget);
-/// * the solve chain per lane — `b = 2Y − p·t`, discriminant, square
-///   root, upper root, root minimum (positive, never `NaN`, so the packed
-///   min matches the scalar fold), `⌊hi⌋` and the first verification pass
-///   `((1−p)·x + b)·x + p·u ≤ tol` — is correctly rounded per slot,
-///   identical to the scalar solver; the rare verification backoff is
-///   replayed by the scalar [`crate::skip::verify_candidate`].
+///   in an `i32`) and `ws` folds the `(y·y)·p⁻¹` terms in index order —
+///   starting from the first term, since `0.0 + a₀ = a₀` exactly;
+/// * pre-filter, `u`, `t` and `tol` use the scalar expressions per slot
+///   (`budget.abs()` is the identity for the positive budget the caller
+///   guarantees); a failed pre-filter implies `u < 0`, so every
+///   discriminant is non-negative and no root is `NaN`;
+/// * `b = 2Y − p·t`, the discriminant, square root and upper root are
+///   correctly rounded per slot, the root minimum is folded in index
+///   order, and `⌊hi⌋` plus the first verification pass
+///   `((1−p)·x + b)·x + p·u ≤ tol` match the scalar solver; the rare
+///   verification backoff is replayed by the scalar
+///   [`crate::skip::verify_candidate`].
 ///
-/// Only called when [`group2_available`] (AVX2); the caller guarantees
-/// `budget > 0`, finite, counts `< 2³¹`, and two-element table slices.
+/// Only called when [`group_available`] (AVX2); the caller guarantees
+/// `budget > 0`, finite, counts `< 2³¹`, and `K`-element table slices.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn group_examine2(
-    counts: &[[u32; 2]; GROUP_LANES],
+pub(crate) fn group_examine<const K: usize>(
+    counts: &[[u32; GROUP_LANES]; K],
     lfs: &[f64; GROUP_LANES],
     budget: f64,
     tables: &crate::skip::SkipTables<'_>,
 ) -> Option<[usize; GROUP_LANES]> {
-    debug_assert!(group2_available());
+    // The hardware check, not `group_available`: a concurrent
+    // `set_force_scalar` may flip the dispatch level mid-scan.
+    assert!(
+        is_x86_feature_detected!("avx2"),
+        "group_examine requires AVX2"
+    );
     debug_assert!(budget.is_finite() && budget > 0.0);
-    // SAFETY: AVX2 presence guaranteed by the `group2_available` contract.
-    unsafe { group_examine2_avx2(counts, lfs, budget, tables) }
+    // SAFETY: AVX2 presence asserted above.
+    unsafe { group_examine_avx2::<K>(counts, lfs, budget, tables) }
 }
 
-/// Non-`x86_64` stub — never called ([`group2_available`] is `false`).
+/// Non-`x86_64` stub — never called ([`group_available`] is `false`).
 #[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn group_examine2(
-    _counts: &[[u32; 2]; GROUP_LANES],
+pub(crate) fn group_examine<const K: usize>(
+    _counts: &[[u32; GROUP_LANES]; K],
     _lfs: &[f64; GROUP_LANES],
     _budget: f64,
     _tables: &crate::skip::SkipTables<'_>,
 ) -> Option<[usize; GROUP_LANES]> {
-    unreachable!("group_examine2 is only dispatched when group2_available()")
+    unreachable!("group_examine is only dispatched when group_available()")
 }
 
+/// # Safety
+/// AVX2 must be available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn group_examine2_avx2(
-    counts: &[[u32; 2]; GROUP_LANES],
+unsafe fn group_examine_avx2<const K: usize>(
+    counts: &[[u32; GROUP_LANES]; K],
     lfs: &[f64; GROUP_LANES],
     budget: f64,
     tables: &crate::skip::SkipTables<'_>,
 ) -> Option<[usize; GROUP_LANES]> {
-    const PAIRS: usize = GROUP_LANES / 2;
-    let inv_p = _mm256_broadcast_pd(&_mm_loadu_pd(tables.inv_p.as_ptr()));
+    const VECS: usize = GROUP_LANES / 4;
+    let (p, inv_p, four_pa) = (tables.p, tables.inv_p, tables.four_pa);
+    let (half_inv_a, one_minus) = (tables.half_inv_a, tables.one_minus);
     let bud = _mm256_set1_pd(budget);
     let margin = _mm256_set1_pd(1.0 - 1e-12);
-    let mut y = [_mm256_setzero_pd(); PAIRS];
-    let mut lf = [_mm256_setzero_pd(); PAIRS];
-    let mut ws = [_mm256_setzero_pd(); PAIRS];
-    let mut prod = [_mm256_setzero_pd(); PAIRS];
+    let mut y = [[_mm256_setzero_pd(); VECS]; K];
+    let mut lf = [_mm256_setzero_pd(); VECS];
+    let mut ws = [_mm256_setzero_pd(); VECS];
+    let mut prod = [_mm256_setzero_pd(); VECS];
     let mut pre_mask = 0i32;
-    for j in 0..PAIRS {
-        // Two lanes' `[u32; 2]` counts are 16 contiguous bytes: one load,
-        // one exact i32 → f64 convert (counts < 2³¹ per the contract).
-        let raw = _mm_loadu_si128(counts.as_ptr().add(2 * j).cast());
-        y[j] = _mm256_cvtepi32_pd(raw);
-        // [lf_a, lf_a, lf_b, lf_b] from the two lanes' lengths.
-        let lf2 = _mm256_castpd128_pd256(_mm_loadu_pd(lfs.as_ptr().add(2 * j)));
-        lf[j] = _mm256_permute4x64_pd::<0b0101_0000>(lf2);
-        // ws per lane: the two (y·y)·p⁻¹ terms of each 128-bit half folded
-        // by one horizontal add (bit-equal to the scalar fold by
-        // commutativity); pre-filter ws ≥ (budget + lf)·lf·(1 − 1e-12).
-        let sq = _mm256_mul_pd(_mm256_mul_pd(y[j], y[j]), inv_p);
-        ws[j] = _mm256_hadd_pd(sq, sq);
+    for j in 0..VECS {
+        lf[j] = _mm256_loadu_pd(lfs.as_ptr().add(4 * j));
+        for m in 0..K {
+            // Four lanes' counts of character m: one load, one exact
+            // i32 → f64 convert (counts < 2³¹ per the contract).
+            let raw = _mm_loadu_si128(counts[m].as_ptr().add(4 * j).cast());
+            y[m][j] = _mm256_cvtepi32_pd(raw);
+            let sq = _mm256_mul_pd(_mm256_mul_pd(y[m][j], y[m][j]), _mm256_set1_pd(inv_p[m]));
+            ws[j] = if m == 0 { sq } else { _mm256_add_pd(ws[j], sq) };
+        }
+        // Pre-filter ws ≥ (budget + lf)·lf·(1 − 1e-12).
         prod[j] = _mm256_mul_pd(_mm256_add_pd(bud, lf[j]), lf[j]);
         let pre = _mm256_mul_pd(prod[j], margin);
         pre_mask |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(ws[j], pre));
@@ -564,92 +576,68 @@ unsafe fn group_examine2_avx2(
     }
     // No lane observes: u = ws − (lf + budget)·lf < 0, t = 2lf + budget,
     // tol = 1e-9·(1 + |budget|·lf), all pinned to the shared budget.
-    let p = _mm256_broadcast_pd(&_mm_loadu_pd(tables.p.as_ptr()));
-    let four_pa = _mm256_broadcast_pd(&_mm_loadu_pd(tables.four_pa.as_ptr()));
-    let half_inv_a = _mm256_broadcast_pd(&_mm_loadu_pd(tables.half_inv_a.as_ptr()));
-    let one_minus = _mm256_broadcast_pd(&_mm_loadu_pd(tables.one_minus.as_ptr()));
     let two = _mm256_set1_pd(2.0);
     let one = _mm256_set1_pd(1.0);
     let tol_scale = _mm256_set1_pd(1e-9);
-    let mut out = [0usize; GROUP_LANES];
-    for j in 0..PAIRS {
+    let mut xs = [0.0f64; GROUP_LANES];
+    let mut ts = [0.0f64; GROUP_LANES];
+    let mut us = [0.0f64; GROUP_LANES];
+    let mut tols = [0.0f64; GROUP_LANES];
+    let mut lt_one = 0i32;
+    let mut over = 0i32;
+    for j in 0..VECS {
         let u = _mm256_sub_pd(ws[j], prod[j]);
         let t = _mm256_add_pd(_mm256_mul_pd(two, lf[j]), bud);
         let tol = _mm256_mul_pd(tol_scale, _mm256_add_pd(one, _mm256_mul_pd(bud, lf[j])));
         // b = 2Y − p·t, disc = b² − 4p(1−p)·u ≥ 0 (u < 0),
-        // r2 = (√disc − b)/(2(1−p)), per-lane root minimum.
-        let b = _mm256_sub_pd(_mm256_mul_pd(two, y[j]), _mm256_mul_pd(p, t));
-        let disc = _mm256_sub_pd(_mm256_mul_pd(b, b), _mm256_mul_pd(four_pa, u));
-        let r = _mm256_mul_pd(_mm256_sub_pd(_mm256_sqrt_pd(disc), b), half_inv_a);
-        let hi = _mm256_min_pd(r, _mm256_permute_pd::<0b0101>(r));
-        let lt_one = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(hi, one));
+        // r2 = (√disc − b)/(2(1−p)), root minimum in index order.
+        let mut b = [_mm256_setzero_pd(); K];
+        let mut hi = _mm256_setzero_pd();
+        for m in 0..K {
+            let pm = _mm256_set1_pd(p[m]);
+            b[m] = _mm256_sub_pd(_mm256_mul_pd(two, y[m][j]), _mm256_mul_pd(pm, t));
+            let disc = _mm256_sub_pd(
+                _mm256_mul_pd(b[m], b[m]),
+                _mm256_mul_pd(_mm256_set1_pd(four_pa[m]), u),
+            );
+            let r = _mm256_mul_pd(
+                _mm256_sub_pd(_mm256_sqrt_pd(disc), b[m]),
+                _mm256_set1_pd(half_inv_a[m]),
+            );
+            hi = if m == 0 { r } else { _mm256_min_pd(hi, r) };
+        }
+        lt_one |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(hi, one)) << (4 * j);
         // First verification candidate x = ⌊hi⌋ (≥ 1 whenever hi ≥ 1):
-        // q = ((1−p)·x + b)·x + p·u must stay ≤ tol for both characters.
+        // q = ((1−p)·x + b)·x + p·u must stay ≤ tol for every character.
         let x = _mm256_round_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(hi);
-        let c = _mm256_mul_pd(p, u);
-        let q = _mm256_add_pd(
-            _mm256_mul_pd(_mm256_add_pd(_mm256_mul_pd(one_minus, x), b), x),
-            c,
-        );
-        let over = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(q, tol));
-        let x_lo = _mm_cvtsd_f64(_mm256_castpd256_pd128(x));
-        let t_lo = _mm_cvtsd_f64(_mm256_castpd256_pd128(t));
-        let u_lo = _mm_cvtsd_f64(_mm256_castpd256_pd128(u));
-        let tol_lo = _mm_cvtsd_f64(_mm256_castpd256_pd128(tol));
-        out[2 * j] = group_lane_finish(
-            lt_one,
-            over,
-            0b0011,
-            x_lo,
-            &counts[2 * j],
-            t_lo,
-            u_lo,
-            tol_lo,
-            tables,
-        );
-        let x_hi = _mm_cvtsd_f64(_mm256_extractf128_pd::<1>(x));
-        let t_hi = _mm_cvtsd_f64(_mm256_extractf128_pd::<1>(t));
-        let u_hi = _mm_cvtsd_f64(_mm256_extractf128_pd::<1>(u));
-        let tol_hi = _mm_cvtsd_f64(_mm256_extractf128_pd::<1>(tol));
-        out[2 * j + 1] = group_lane_finish(
-            lt_one,
-            over,
-            0b1100,
-            x_hi,
-            &counts[2 * j + 1],
-            t_hi,
-            u_hi,
-            tol_hi,
-            tables,
-        );
+        for m in 0..K {
+            let q = _mm256_add_pd(
+                _mm256_mul_pd(
+                    _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(one_minus[m]), x), b[m]),
+                    x,
+                ),
+                _mm256_mul_pd(_mm256_set1_pd(p[m]), u),
+            );
+            over |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(q, tol)) << (4 * j);
+        }
+        _mm256_storeu_pd(xs.as_mut_ptr().add(4 * j), x);
+        _mm256_storeu_pd(ts.as_mut_ptr().add(4 * j), t);
+        _mm256_storeu_pd(us.as_mut_ptr().add(4 * j), u);
+        _mm256_storeu_pd(tols.as_mut_ptr().add(4 * j), tol);
     }
-    Some(out)
-}
-
-/// Commit one lane of the packed verdict: no root ≥ 1 ⇒ no skip; packed
-/// verification clean ⇒ the floored root is the skip; otherwise replay the
-/// scalar verification (identical first candidate, then the backoff).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn group_lane_finish(
-    lt_one: i32,
-    over: i32,
-    lane_mask: i32,
-    x: f64,
-    counts: &[u32],
-    t: f64,
-    u: f64,
-    tol: f64,
-    tables: &crate::skip::SkipTables<'_>,
-) -> usize {
-    if lt_one & lane_mask != 0 {
-        return 0;
-    }
-    if over & lane_mask == 0 {
-        return x as usize;
-    }
-    crate::skip::verify_candidate(counts, t, u, tables, x, 0.0, tol)
+    // Commit each lane: no root ≥ 1 ⇒ no skip; packed verification clean ⇒
+    // the floored root is the skip; otherwise replay the scalar
+    // verification (identical first candidate, then the backoff).
+    Some(std::array::from_fn(|i| {
+        if lt_one & (1 << i) != 0 {
+            0
+        } else if over & (1 << i) == 0 {
+            xs[i] as usize
+        } else {
+            let lane: [u32; K] = std::array::from_fn(|m| counts[m][i]);
+            crate::skip::verify_candidate(&lane, ts[i], us[i], tables, xs[i], 0.0, tols[i])
+        }
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -846,6 +834,132 @@ mod tests {
                 "u16 stored_k {stored_k} sums"
             );
         }
+    }
+
+    /// `group_examine::<K>` against `K` sequential scalar solves
+    /// (`skip_from_ws_fixed::<K, false>`), lane by lane, over random
+    /// counts, lengths, positive budgets and skewed models. Counts how
+    /// often each branch ran — a pre-filter pass (`None`), `hi < 1`, a
+    /// clean first verification, and the backoff — and requires all four.
+    #[cfg(target_arch = "x86_64")]
+    fn check_group_examine<const K: usize>(seed: u64) {
+        use crate::model::Model;
+        use crate::score::weighted_square_sum;
+        use crate::skip::{skip_from_ws_fixed, SkipTables};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut nones, mut below_one, mut clean, mut backoff) = (0, 0, 0, 0);
+        for round in 0..3000 {
+            // Skewed model: weights spread over two orders of magnitude.
+            let w: Vec<f64> = (0..K)
+                .map(|_| 10f64.powf(rng.gen_range(-2.0..0.0)))
+                .collect();
+            let total: f64 = w.iter().sum();
+            let model = Model::from_probs(w.iter().map(|x| x / total).collect()).unwrap();
+            // Exact tables leave the verification backoff to rare rounding.
+            // Every third round inflates the root scale instead, so ⌊hi⌋
+            // overshoots the root and the scalar replay must back off; the
+            // scalar solver reads the same table, so the lanes still agree.
+            let mut half_inv_a = model.half_inv_one_minus().to_vec();
+            if round % 3 == 2 {
+                for h in &mut half_inv_a {
+                    *h *= rng.gen_range(1.0..1.5);
+                }
+            }
+            let tables = SkipTables {
+                p: model.probs(),
+                inv_p: model.inv_probs(),
+                one_minus: model.one_minus_probs(),
+                half_inv_a: &half_inv_a,
+                four_pa: model.four_p_one_minus(),
+            };
+            let mut counts = [[0u32; GROUP_LANES]; K];
+            let mut lfs = [0.0f64; GROUP_LANES];
+            let mut x2_max = 0.0f64;
+            for i in 0..GROUP_LANES {
+                let scale = rng.gen_range(0..24u32);
+                let l: u32 = rng.gen_range(1..=1u32 << scale);
+                let mut left = l;
+                for row in counts.iter_mut().take(K - 1) {
+                    row[i] = rng.gen_range(0..=left);
+                    left -= row[i];
+                }
+                counts[K - 1][i] = left;
+                lfs[i] = f64::from(l);
+                let lane: [u32; K] = std::array::from_fn(|m| counts[m][i]);
+                let ws = weighted_square_sum(&lane, tables.inv_p);
+                x2_max = x2_max.max(ws / lfs[i] - lfs[i]);
+            }
+            // A budget from just past the pre-filter margin to far above
+            // the largest lane statistic: tight lanes get `hi < 1`, loose
+            // ones long skips.
+            let l_max = lfs.iter().fold(0.0f64, |a, &b| a.max(b));
+            let budget = x2_max + (x2_max + l_max) * 10f64.powf(rng.gen_range(-10.0..0.5));
+            let got = group_examine::<K>(&counts, &lfs, budget, &tables)
+                .expect("no lane reaches the budget");
+            for i in 0..GROUP_LANES {
+                let lane: [u32; K] = std::array::from_fn(|m| counts[m][i]);
+                let lf = lfs[i];
+                let ws = weighted_square_sum(&lane, tables.inv_p);
+                let want = skip_from_ws_fixed::<K, false>(&lane, lf, ws, budget, &tables);
+                assert_eq!(got[i], want, "K={K} round {round} lane {i}: {lane:?}");
+                // Classify the lane with the scalar solver's own steps.
+                let (u, t) = (ws - (lf + budget) * lf, 2.0 * lf + budget);
+                let hi = roots_hi_fixed::<K>(&lane, t, u, tables.p, tables.four_pa, &half_inv_a);
+                if hi < 1.0 {
+                    below_one += 1;
+                    continue;
+                }
+                let x = hi.floor();
+                let tol = 1e-9 * (1.0 + budget * lf);
+                let over = (0..K).any(|m| {
+                    let b = 2.0 * f64::from(lane[m]) - tables.p[m] * t;
+                    (tables.one_minus[m] * x + b) * x + tables.p[m] * u > tol
+                });
+                if over {
+                    backoff += 1;
+                } else {
+                    clean += 1;
+                }
+            }
+            // One lane that passes the pre-filter sends the whole round
+            // back to the sequential path: all counts on the rarest
+            // character, long enough that its statistic clears the budget.
+            let rare = (0..K)
+                .min_by(|&a, &b| tables.p[a].total_cmp(&tables.p[b]))
+                .unwrap();
+            let j = rng.gen_range(0..GROUP_LANES);
+            let l = (budget / (tables.inv_p[rare] - 1.0)).ceil() as u32 + 1;
+            for (m, row) in counts.iter_mut().enumerate() {
+                row[j] = if m == rare { l } else { 0 };
+            }
+            lfs[j] = f64::from(l);
+            let lane: [u32; K] = std::array::from_fn(|m| counts[m][j]);
+            let ws = weighted_square_sum(&lane, tables.inv_p);
+            assert!(ws >= (budget + lfs[j]) * lfs[j] * (1.0 - 1e-12));
+            assert_eq!(group_examine::<K>(&counts, &lfs, budget, &tables), None);
+            nones += 1;
+        }
+        for (branch, hits) in [
+            ("None", nones),
+            ("hi < 1", below_one),
+            ("clean", clean),
+            ("backoff", backoff),
+        ] {
+            assert!(hits >= 100, "K={K}: branch {branch} ran only {hits} times");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn group_examine_matches_scalar_lane_by_lane() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        check_group_examine::<2>(0x6E0B_A2E1);
+        check_group_examine::<4>(0x6E0B_A4E1);
     }
 
     #[test]

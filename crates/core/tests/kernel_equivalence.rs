@@ -449,9 +449,20 @@ fn blocked_engine_matches_flat_engine_exactly() {
     }
 }
 
+/// Restores auto-detection when a dispatch test ends, even if one of its
+/// assertions panics, so no test leaks forced-scalar mode into the rest of
+/// the suite.
+struct DispatchGuard;
+
+impl Drop for DispatchGuard {
+    fn drop(&mut self) {
+        sigstr_core::simd::set_force_scalar(false);
+    }
+}
+
 /// SIMD and forced-scalar dispatch must agree on the **full** result
 /// structs — positions, scan stats, and every `chi_square` bit pattern —
-/// across alphabets covering the packed `k = 2` group-examine kernel,
+/// across alphabets covering the packed group-examine kernel (k = 2, 4),
 /// both specialized resync kernels, the generic kernel, and a
 /// letters-sized alphabet; both count layouts; and range starts pinned
 /// to odd offsets so the 12-lane round-robin interleave begins off every
@@ -459,14 +470,6 @@ fn blocked_engine_matches_flat_engine_exactly() {
 /// answer is served from the other mode's result cache.
 #[test]
 fn simd_and_scalar_dispatch_are_bit_identical() {
-    // Restore auto-detection even if an assertion below panics, so this
-    // test can never leak forced-scalar mode into the rest of the suite.
-    struct DispatchGuard;
-    impl Drop for DispatchGuard {
-        fn drop(&mut self) {
-            sigstr_core::simd::set_force_scalar(false);
-        }
-    }
     let _guard = DispatchGuard;
 
     let mut rng = StdRng::seed_from_u64(0x51D0_5CA1);
@@ -539,6 +542,86 @@ fn simd_and_scalar_dispatch_are_bit_identical() {
                         "{label}: threshold item bits"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The packed group examine only runs on full 12-lane rounds with the
+/// budget already warm, which the short strings above rarely reach. Here
+/// k ∈ {2, 4} strings of at least 8192 symbols, drawn from the model
+/// itself (near-null, the paper's regime), must give identical full
+/// result structs — positions, `ScanStats` and `X²` bits — under
+/// forced-scalar and auto dispatch, in both layouts, for a uniform and a
+/// skewed model.
+#[test]
+fn simd_and_scalar_dispatch_agree_on_long_strings() {
+    let _guard = DispatchGuard;
+
+    let mut rng = StdRng::seed_from_u64(0x10C6_5CA1);
+    for &k in &[2usize, 4] {
+        let skewed: Vec<f64> = (1..=k).map(|c| c as f64).collect();
+        let skewed_total: f64 = skewed.iter().sum();
+        let models = [
+            Model::uniform(k).unwrap(),
+            Model::from_probs(skewed.iter().map(|w| w / skewed_total).collect()).unwrap(),
+        ];
+        for model in &models {
+            let n = rng.gen_range(8192..=12_000usize);
+            let symbols: Vec<u8> = (0..n)
+                .map(|_| {
+                    let mut x: f64 = rng.gen_range(0.0..1.0);
+                    let mut c = 0;
+                    while c + 1 < k && x >= model.probs()[c] {
+                        x -= model.probs()[c];
+                        c += 1;
+                    }
+                    c as u8
+                })
+                .collect();
+            let seq = Sequence::from_symbols(symbols, k).unwrap();
+            let l = rng.gen_range(0..n / 4) | 1;
+            let r = rng.gen_range(n / 2..=n);
+            for &layout in &[CountsLayout::Flat, CountsLayout::Blocked] {
+                let label = format!("k={k} {layout:?} probs {:?} n={n}", model.probs());
+                let run = |force: bool| {
+                    sigstr_core::simd::set_force_scalar(force);
+                    let engine = Engine::with_layout(&seq, model.clone(), layout).unwrap();
+                    (
+                        engine.mss().unwrap(),
+                        engine.mss_in(l..r).unwrap(),
+                        engine.top_t(5).unwrap(),
+                        engine.above_threshold(4.0 * k as f64 + 12.0).unwrap(),
+                        engine.mss_min_length(n / 8).unwrap(),
+                        engine.mss_max_length(n / 8).unwrap(),
+                    )
+                };
+                let scalar = run(true);
+                let simd = run(false);
+                assert_eq!(scalar.0, simd.0, "{label}: mss");
+                assert_eq!(scalar.1, simd.1, "{label}: mss_in({l}..{r})");
+                assert_eq!(scalar.2, simd.2, "{label}: top-5");
+                assert_eq!(scalar.3, simd.3, "{label}: threshold");
+                assert_eq!(scalar.4, simd.4, "{label}: min-length");
+                assert_eq!(scalar.5, simd.5, "{label}: max-length");
+                let bits = |v: &[sigstr_core::Scored]| -> Vec<u64> {
+                    v.iter().map(|s| s.chi_square.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(&[scalar.0.best, scalar.1.best, scalar.4.best, scalar.5.best]),
+                    bits(&[simd.0.best, simd.1.best, simd.4.best, simd.5.best]),
+                    "{label}: best bits"
+                );
+                assert_eq!(
+                    bits(&scalar.2.items),
+                    bits(&simd.2.items),
+                    "{label}: top-5 bits"
+                );
+                assert_eq!(
+                    bits(&scalar.3.items),
+                    bits(&simd.3.items),
+                    "{label}: threshold bits"
+                );
             }
         }
     }

@@ -800,8 +800,12 @@ impl Corpus {
         engine.write_snapshot_path(&tmp)?;
         std::fs::rename(&tmp, &path).map_err(io_error(&path))?;
         // Make the sidecar's view of the frozen prefix durable alongside
-        // the generation it belongs to.
-        state.file.sync_data().ok();
+        // the generation it belongs to; if that fails, the generation must
+        // not be published.
+        if let Err(e) = state.file.sync_data() {
+            std::fs::remove_file(&path).ok();
+            return Err(io_error(&sidecar_path(&self.dir, &doc.name))(e));
+        }
         let entry = DocumentEntry {
             name: doc.name.clone(),
             file,
