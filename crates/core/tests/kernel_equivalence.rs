@@ -460,6 +460,24 @@ impl Drop for DispatchGuard {
     }
 }
 
+/// Draws `n` symbols from `model` itself: a near-null string, the paper's
+/// regime, where the pruned scan spends its time skipping.
+fn sample_from_model(rng: &mut StdRng, model: &Model, n: usize) -> Sequence {
+    let k = model.k();
+    let symbols: Vec<u8> = (0..n)
+        .map(|_| {
+            let mut x: f64 = rng.gen_range(0.0..1.0);
+            let mut c = 0;
+            while c + 1 < k && x >= model.probs()[c] {
+                x -= model.probs()[c];
+                c += 1;
+            }
+            c as u8
+        })
+        .collect();
+    Sequence::from_symbols(symbols, k).unwrap()
+}
+
 /// SIMD and forced-scalar dispatch must agree on the **full** result
 /// structs — positions, scan stats, and every `chi_square` bit pattern —
 /// across alphabets covering the packed group-examine kernel (k = 2, 4),
@@ -468,18 +486,55 @@ impl Drop for DispatchGuard {
 /// to odd offsets so the 12-lane round-robin interleave begins off every
 /// natural alignment boundary. Each mode gets its own engine, so no
 /// answer is served from the other mode's result cache.
+///
+/// The packed group examine only runs on full 12-lane rounds with the
+/// budget already warm, which short strings rarely reach, so the inputs
+/// also include k ∈ {2, 4} strings of at least 8192 symbols drawn from a
+/// uniform and a skewed model.
+///
+/// This is the only test in this binary that flips the process-wide
+/// dispatch switch: a second one running in parallel could un-force the
+/// scalar side mid-comparison and make it compare SIMD against SIMD.
 #[test]
 fn simd_and_scalar_dispatch_are_bit_identical() {
     let _guard = DispatchGuard;
 
     let mut rng = StdRng::seed_from_u64(0x51D0_5CA1);
-    for &k in &[2usize, 3, 4, 8, 26] {
-        for &layout in &[CountsLayout::Flat, CountsLayout::Blocked] {
+    for &layout in &[CountsLayout::Flat, CountsLayout::Blocked] {
+        // (label, sequence, model, long)
+        let mut inputs = Vec::new();
+        for &k in &[2usize, 3, 4, 8, 26] {
             for case in 0..6 {
                 let seq = random_sequence(&mut rng, k, 400);
                 let model = random_model(&mut rng, k);
-                let label = format!("k={k} {layout:?} case {case}");
-                let n = seq.len();
+                inputs.push((format!("k={k} case {case}"), seq, model, false));
+            }
+        }
+        for &k in &[2usize, 4] {
+            let skewed: Vec<f64> = (1..=k).map(|c| c as f64).collect();
+            let skewed_total: f64 = skewed.iter().sum();
+            for model in [
+                Model::uniform(k).unwrap(),
+                Model::from_probs(skewed.iter().map(|w| w / skewed_total).collect()).unwrap(),
+            ] {
+                let n = rng.gen_range(8192..=12_000usize);
+                let seq = sample_from_model(&mut rng, &model, n);
+                let label = format!("k={k} n={n} probs {:?}", model.probs());
+                inputs.push((label, seq, model, true));
+            }
+        }
+
+        for (name, seq, model, long) in &inputs {
+            let k = model.k();
+            let n = seq.len();
+            let label = format!("{name} {layout:?}");
+            let (l, r, t, alpha, gamma0, w) = if *long {
+                // Wide ranges and a threshold high enough to keep the
+                // qualifying set small on near-null strings.
+                let l = rng.gen_range(0..n / 4) | 1;
+                let r = rng.gen_range(n / 2..=n);
+                (l, r, 5, 4.0 * k as f64 + 12.0, n / 8, n / 8)
+            } else {
                 // Odd (unaligned) range start whenever the sequence is
                 // long enough to have one.
                 let l = if n > 2 {
@@ -489,140 +544,58 @@ fn simd_and_scalar_dispatch_are_bit_identical() {
                 }
                 .min(n - 1);
                 let r = rng.gen_range(l + 1..=n);
-                let t = rng.gen_range(1..=8usize);
-                let alpha = rng.gen_range(0.5..3.0) * (k as f64);
-                let gamma0 = rng.gen_range(0..(r - l));
-                let w = rng.gen_range(1..=(r - l));
+                (
+                    l,
+                    r,
+                    rng.gen_range(1..=8usize),
+                    rng.gen_range(0.5..3.0) * (k as f64),
+                    rng.gen_range(0..(r - l)),
+                    rng.gen_range(1..=(r - l)),
+                )
+            };
 
-                let run = |force: bool| {
-                    sigstr_core::simd::set_force_scalar(force);
-                    let engine = Engine::with_layout(&seq, model.clone(), layout).unwrap();
-                    (
-                        engine.mss().unwrap(),
-                        engine.mss_in(l..r).unwrap(),
-                        engine.top_t_in(l..r, t).unwrap(),
-                        engine.above_threshold_in(l..r, alpha).unwrap(),
-                        engine.mss_min_length_in(l..r, gamma0).unwrap(),
-                        engine.mss_max_length_in(l..r, w).unwrap(),
-                    )
-                };
-                let scalar = run(true);
-                let simd = run(false);
+            let run = |force: bool| {
+                sigstr_core::simd::set_force_scalar(force);
+                let engine = Engine::with_layout(seq, model.clone(), layout).unwrap();
+                (
+                    engine.mss().unwrap(),
+                    engine.mss_in(l..r).unwrap(),
+                    engine.top_t_in(l..r, t).unwrap(),
+                    engine.above_threshold_in(l..r, alpha).unwrap(),
+                    engine.mss_min_length_in(l..r, gamma0).unwrap(),
+                    engine.mss_max_length_in(l..r, w).unwrap(),
+                )
+            };
+            let scalar = run(true);
+            let simd = run(false);
 
-                // Full structs: values, positions, and scan stats.
-                assert_eq!(scalar.0, simd.0, "{label}: mss");
-                assert_eq!(scalar.1, simd.1, "{label}: mss_in({l}..{r})");
-                assert_eq!(scalar.2, simd.2, "{label}: top-{t}");
-                assert_eq!(scalar.3, simd.3, "{label}: threshold (alpha = {alpha})");
-                assert_eq!(scalar.4, simd.4, "{label}: min-length (gamma0 = {gamma0})");
-                assert_eq!(scalar.5, simd.5, "{label}: max-length (w = {w})");
-                // And the float *bit patterns*, independently of any
-                // `PartialEq` subtleties.
-                assert_eq!(
-                    scalar.0.best.chi_square.to_bits(),
-                    simd.0.best.chi_square.to_bits(),
-                    "{label}: mss bits"
-                );
-                assert_eq!(
-                    scalar.1.best.chi_square.to_bits(),
-                    simd.1.best.chi_square.to_bits(),
-                    "{label}: mss_in bits"
-                );
-                for (a, b) in scalar.2.items.iter().zip(&simd.2.items) {
-                    assert_eq!(
-                        a.chi_square.to_bits(),
-                        b.chi_square.to_bits(),
-                        "{label}: top-{t} item bits"
-                    );
-                }
-                for (a, b) in scalar.3.items.iter().zip(&simd.3.items) {
-                    assert_eq!(
-                        a.chi_square.to_bits(),
-                        b.chi_square.to_bits(),
-                        "{label}: threshold item bits"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The packed group examine only runs on full 12-lane rounds with the
-/// budget already warm, which the short strings above rarely reach. Here
-/// k ∈ {2, 4} strings of at least 8192 symbols, drawn from the model
-/// itself (near-null, the paper's regime), must give identical full
-/// result structs — positions, `ScanStats` and `X²` bits — under
-/// forced-scalar and auto dispatch, in both layouts, for a uniform and a
-/// skewed model.
-#[test]
-fn simd_and_scalar_dispatch_agree_on_long_strings() {
-    let _guard = DispatchGuard;
-
-    let mut rng = StdRng::seed_from_u64(0x10C6_5CA1);
-    for &k in &[2usize, 4] {
-        let skewed: Vec<f64> = (1..=k).map(|c| c as f64).collect();
-        let skewed_total: f64 = skewed.iter().sum();
-        let models = [
-            Model::uniform(k).unwrap(),
-            Model::from_probs(skewed.iter().map(|w| w / skewed_total).collect()).unwrap(),
-        ];
-        for model in &models {
-            let n = rng.gen_range(8192..=12_000usize);
-            let symbols: Vec<u8> = (0..n)
-                .map(|_| {
-                    let mut x: f64 = rng.gen_range(0.0..1.0);
-                    let mut c = 0;
-                    while c + 1 < k && x >= model.probs()[c] {
-                        x -= model.probs()[c];
-                        c += 1;
-                    }
-                    c as u8
-                })
-                .collect();
-            let seq = Sequence::from_symbols(symbols, k).unwrap();
-            let l = rng.gen_range(0..n / 4) | 1;
-            let r = rng.gen_range(n / 2..=n);
-            for &layout in &[CountsLayout::Flat, CountsLayout::Blocked] {
-                let label = format!("k={k} {layout:?} probs {:?} n={n}", model.probs());
-                let run = |force: bool| {
-                    sigstr_core::simd::set_force_scalar(force);
-                    let engine = Engine::with_layout(&seq, model.clone(), layout).unwrap();
-                    (
-                        engine.mss().unwrap(),
-                        engine.mss_in(l..r).unwrap(),
-                        engine.top_t(5).unwrap(),
-                        engine.above_threshold(4.0 * k as f64 + 12.0).unwrap(),
-                        engine.mss_min_length(n / 8).unwrap(),
-                        engine.mss_max_length(n / 8).unwrap(),
-                    )
-                };
-                let scalar = run(true);
-                let simd = run(false);
-                assert_eq!(scalar.0, simd.0, "{label}: mss");
-                assert_eq!(scalar.1, simd.1, "{label}: mss_in({l}..{r})");
-                assert_eq!(scalar.2, simd.2, "{label}: top-5");
-                assert_eq!(scalar.3, simd.3, "{label}: threshold");
-                assert_eq!(scalar.4, simd.4, "{label}: min-length");
-                assert_eq!(scalar.5, simd.5, "{label}: max-length");
-                let bits = |v: &[sigstr_core::Scored]| -> Vec<u64> {
-                    v.iter().map(|s| s.chi_square.to_bits()).collect()
-                };
-                assert_eq!(
-                    bits(&[scalar.0.best, scalar.1.best, scalar.4.best, scalar.5.best]),
-                    bits(&[simd.0.best, simd.1.best, simd.4.best, simd.5.best]),
-                    "{label}: best bits"
-                );
-                assert_eq!(
-                    bits(&scalar.2.items),
-                    bits(&simd.2.items),
-                    "{label}: top-5 bits"
-                );
-                assert_eq!(
-                    bits(&scalar.3.items),
-                    bits(&simd.3.items),
-                    "{label}: threshold bits"
-                );
-            }
+            // Full structs: values, positions, and scan stats.
+            assert_eq!(scalar.0, simd.0, "{label}: mss");
+            assert_eq!(scalar.1, simd.1, "{label}: mss_in({l}..{r})");
+            assert_eq!(scalar.2, simd.2, "{label}: top-{t}");
+            assert_eq!(scalar.3, simd.3, "{label}: threshold (alpha = {alpha})");
+            assert_eq!(scalar.4, simd.4, "{label}: min-length (gamma0 = {gamma0})");
+            assert_eq!(scalar.5, simd.5, "{label}: max-length (w = {w})");
+            // And the float *bit patterns*, independently of any
+            // `PartialEq` subtleties.
+            let bits = |v: &[sigstr_core::Scored]| -> Vec<u64> {
+                v.iter().map(|s| s.chi_square.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(&[scalar.0.best, scalar.1.best, scalar.4.best, scalar.5.best]),
+                bits(&[simd.0.best, simd.1.best, simd.4.best, simd.5.best]),
+                "{label}: best bits"
+            );
+            assert_eq!(
+                bits(&scalar.2.items),
+                bits(&simd.2.items),
+                "{label}: top-{t} item bits"
+            );
+            assert_eq!(
+                bits(&scalar.3.items),
+                bits(&simd.3.items),
+                "{label}: threshold item bits"
+            );
         }
     }
 }
