@@ -44,14 +44,16 @@ pub mod fault;
 pub mod hash;
 pub mod health;
 pub mod metrics;
+mod poll;
 pub mod pool;
 pub mod rebalance;
 
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -528,34 +530,23 @@ fn fetch_documents(
 }
 
 // ---------------------------------------------------------------------------
-// Shard calls: deadline, retries, hedging.
+// Shard calls: deadline, retries, hedging — one poll loop per request.
 // ---------------------------------------------------------------------------
 
-/// Why a shard call failed.
-enum CallError {
-    /// The request's end-to-end deadline passed. Not retried, and not
-    /// held against the shard's health: in-flight attempts may still be
-    /// about to land, and probes judge slowness separately.
-    Deadline,
-    /// A transport failure (connect/read/write). Retried within the
-    /// budget and recorded against the shard's health.
-    Transport(io::Error),
-}
+/// One logical request to a shard: `(shard, method, target, body)`.
+type ShardRequest<'a> = (&'a Arc<ShardRuntime>, &'a str, &'a str, Option<&'a str>);
 
-impl CallError {
-    fn into_io(self) -> io::Error {
-        match self {
-            CallError::Deadline => io::Error::new(io::ErrorKind::TimedOut, "deadline exceeded"),
-            CallError::Transport(e) => e,
-        }
-    }
+fn shard_down(shard: &ShardRuntime) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::NotConnected,
+        format!("shard {} is down", shard.addr),
+    )
 }
 
 /// Issue one logical request to a shard with the full robustness
-/// stack: routability gate, per-attempt hedging, bounded retries, hard
-/// deadline. An `Ok` carries whatever HTTP response the shard produced
-/// (including 4xx/5xx — those are *its* answers, not transport
-/// failures).
+/// stack (see [`shard_calls`]). An `Ok` carries whatever HTTP response
+/// the shard produced (including 4xx/5xx — those are *its* answers, not
+/// transport failures).
 fn shard_call(
     shared: &RouterShared,
     shard: &Arc<ShardRuntime>,
@@ -564,200 +555,308 @@ fn shard_call(
     body: Option<&str>,
     deadline: Instant,
 ) -> io::Result<HttpResponse> {
-    if !shard.health.routable() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotConnected,
-            format!("shard {} is down", shard.addr),
-        ));
-    }
-    let mut attempt = 0;
-    loop {
-        if Instant::now() >= deadline {
-            return Err(CallError::Deadline.into_io());
-        }
-        match hedged_attempt(shared, shard, method, target, body, deadline) {
-            Ok(response) => {
-                shard.health.record_data_success();
-                return Ok(response);
-            }
-            Err(CallError::Deadline) => return Err(CallError::Deadline.into_io()),
-            Err(CallError::Transport(e)) => {
-                let state = shard.health.record_data_failure(Instant::now());
-                if state == State::Down {
-                    shard.pool.drain();
-                    return Err(e);
-                }
-                if attempt >= shared.config.retries || Instant::now() >= deadline {
-                    return Err(e);
-                }
-                attempt += 1;
-                shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
+    let mut outcomes = shard_calls(shared, &[(shard, method, target, body)], deadline);
+    outcomes.pop().expect("one outcome per request")
 }
 
-/// One attempt, optionally raced against a hedge duplicate: if the
-/// primary outlives the hedge trigger, a second identical request is
-/// launched and the first response to arrive wins. Attempt threads are
-/// detached (bounded by their read timeouts); the coordinator never
-/// waits past `deadline`.
-/// Per-attempt span bookkeeping for the hedging coordinator. Attempt
-/// threads are detached and may outlive the trace, so spans are
-/// recorded *here*, on the worker thread: resolved attempts as they
-/// report in, still-outstanding ones as `abandoned` at resolution — a
-/// hedged call always shows every attempt it launched.
-struct AttemptLog {
-    trace: Option<TraceHandle>,
-    shard: String,
-    /// `(launched, is_hedge, resolved)` — at most one of each kind.
-    launches: Vec<(Instant, bool, bool)>,
-}
-
-impl AttemptLog {
-    fn new(shard: &ShardRuntime) -> AttemptLog {
-        AttemptLog {
-            trace: obs::current(),
-            shard: shard.addr.clone(),
-            launches: Vec::with_capacity(2),
-        }
-    }
-
-    fn launched(&mut self, is_hedge: bool) {
-        self.launches.push((Instant::now(), is_hedge, false));
-    }
-
-    fn record(&self, started: Instant, is_hedge: bool, outcome: &str, win: bool) {
-        let Some(trace) = &self.trace else { return };
-        let mut attrs = vec![
-            ("shard", self.shard.clone()),
-            (
-                "kind",
-                if is_hedge { "hedge" } else { "primary" }.to_string(),
-            ),
-            ("outcome", outcome.to_string()),
-        ];
-        if win {
-            attrs.push(("win", "true".to_string()));
-        }
-        trace.record("attempt", started, Instant::now(), attrs);
-    }
-
-    /// The named attempt reported in (`ok` or `error`).
-    fn resolved(&mut self, is_hedge: bool, outcome: &str, win: bool) {
-        if let Some(entry) = self
-            .launches
-            .iter_mut()
-            .find(|(_, hedge, resolved)| *hedge == is_hedge && !resolved)
-        {
-            entry.2 = true;
-            let started = entry.0;
-            self.record(started, is_hedge, outcome, win);
-        }
-    }
-
-    /// The coordinator is returning: whatever is still in flight was
-    /// abandoned (a losing hedge, or both attempts on a deadline).
-    fn finish(&mut self) {
-        for i in 0..self.launches.len() {
-            let (started, is_hedge, resolved) = self.launches[i];
-            if !resolved {
-                self.launches[i].2 = true;
-                self.record(started, is_hedge, "abandoned", false);
-            }
-        }
-    }
-}
-
-fn hedged_attempt(
+/// Issue several logical shard requests at once, each with the full
+/// robustness stack — routability gate, hedging, bounded retries, hard
+/// deadline — entirely on the calling worker: every attempt's socket is
+/// multiplexed with `poll(2)`, so no thread is spawned. One outcome per
+/// request, in order.
+///
+/// Per request, a *round* is a primary attempt plus at most one hedge,
+/// launched once the primary outlives the hedge trigger; the first
+/// response wins and the rest of the round is abandoned (its sockets
+/// closed — they still carry an unread response, so they are never
+/// parked). A transport failure with no other attempt outstanding fails
+/// the round: it counts against the shard's health, and a fresh round
+/// starts within the retry budget. Past the deadline every unresolved
+/// request fails with `TimedOut`, which is not held against the shard.
+fn shard_calls(
     shared: &RouterShared,
-    shard: &Arc<ShardRuntime>,
+    requests: &[ShardRequest],
+    deadline: Instant,
+) -> Vec<io::Result<HttpResponse>> {
+    let trace = obs::current();
+    let run = CallLoop {
+        shared,
+        trace_hex: trace.as_ref().map(|t| t.id().to_hex()),
+        trace,
+        deadline,
+    };
+    let mut calls: Vec<Call> = requests
+        .iter()
+        .map(|&request| Call {
+            request,
+            attempts: Vec::with_capacity(2),
+            hedge_at: None,
+            retries: 0,
+            outcome: None,
+        })
+        .collect();
+    for call in &mut calls {
+        let shard = call.request.0;
+        if shard.health.routable() {
+            run.start_round(call);
+        } else {
+            call.outcome = Some(Err(shard_down(shard)));
+        }
+    }
+    let mut fds = Vec::new();
+    let mut owners = Vec::new();
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            for call in calls.iter_mut().filter(|c| c.outcome.is_none()) {
+                run.abandon(call);
+                call.outcome = Some(Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "deadline exceeded",
+                )));
+            }
+            break;
+        }
+        for call in calls.iter_mut().filter(|c| c.outcome.is_none()) {
+            if call.hedge_at.is_some_and(|at| at <= now) {
+                call.hedge_at = None;
+                shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
+                run.launch(call, "hedge");
+            }
+        }
+        fds.clear();
+        owners.clear();
+        let mut wake = deadline;
+        for (c, call) in calls.iter().enumerate() {
+            if call.outcome.is_some() {
+                continue;
+            }
+            wake = wake.min(call.hedge_at.unwrap_or(deadline));
+            for (a, attempt) in call.attempts.iter().enumerate() {
+                fds.push(attempt.conn.as_raw_fd());
+                owners.push((c, a));
+            }
+        }
+        if owners.is_empty() {
+            break;
+        }
+        let ready = match poll::readable(&fds, wake.saturating_duration_since(now)) {
+            Ok(ready) => ready,
+            Err(e) => {
+                for call in calls.iter_mut().filter(|c| c.outcome.is_none()) {
+                    run.abandon(call);
+                    call.outcome = Some(Err(io::Error::new(e.kind(), e.to_string())));
+                }
+                break;
+            }
+        };
+        // Later attempts first, so removing one never shifts the index
+        // of an attempt still to be handled.
+        for &i in ready.iter().rev() {
+            let (c, a) = owners[i];
+            let call = &mut calls[c];
+            if call.outcome.is_some() {
+                continue;
+            }
+            match call.attempts[a].conn.recv_with() {
+                Ok(None) => {}
+                Ok(Some(response)) => run.won(call, a, response),
+                Err(e) => {
+                    let attempt = call.attempts.remove(a);
+                    run.failed(call, attempt.started, attempt.kind, e);
+                }
+            }
+        }
+    }
+    calls
+        .into_iter()
+        .map(|call| call.outcome.expect("every call resolved"))
+        .collect()
+}
+
+/// One launched attempt: the connection its request went out on.
+struct Attempt {
+    conn: ClientConn,
+    started: Instant,
+    /// `primary` or `hedge`.
+    kind: &'static str,
+}
+
+/// The state of one logical request inside [`shard_calls`].
+struct Call<'a> {
+    request: ShardRequest<'a>,
+    /// The current round's attempts still in flight.
+    attempts: Vec<Attempt>,
+    /// When the current round's hedge is due (`None`: hedging disabled,
+    /// or the hedge already went out).
+    hedge_at: Option<Instant>,
+    retries: u32,
+    outcome: Option<io::Result<HttpResponse>>,
+}
+
+/// What every call of one [`shard_calls`] shares: the router, the
+/// deadline, and the request's trace — attempt spans are recorded here,
+/// on the worker that owns the trace, as each attempt resolves.
+struct CallLoop<'a> {
+    shared: &'a RouterShared,
+    trace: Option<TraceHandle>,
+    trace_hex: Option<String>,
+    deadline: Instant,
+}
+
+impl CallLoop<'_> {
+    /// Start a round: a fresh primary, its hedge due one trigger later.
+    fn start_round(&self, call: &mut Call) {
+        call.hedge_at = hedge_trigger(self.shared, call.request.0).map(|t| Instant::now() + t);
+        self.launch(call, "primary");
+    }
+
+    /// Send one attempt, dialing within what is left of the deadline. A
+    /// launch that fails is an attempt that failed at once.
+    fn launch(&self, call: &mut Call, kind: &'static str) {
+        let (shard, method, target, body) = call.request;
+        let started = Instant::now();
+        let within = self
+            .deadline
+            .saturating_duration_since(started)
+            .max(Duration::from_millis(1));
+        match send_attempt(
+            shard,
+            method,
+            target,
+            body,
+            self.trace_hex.as_deref(),
+            within,
+        ) {
+            Ok(conn) => call.attempts.push(Attempt {
+                conn,
+                started,
+                kind,
+            }),
+            Err(e) => self.failed(call, started, kind, e),
+        }
+    }
+
+    /// An attempt failed with a transport error. While another attempt
+    /// of the round is out the race goes on; otherwise the round failed:
+    /// it counts against the shard's health, and a fresh round starts
+    /// within the retry budget.
+    fn failed(&self, call: &mut Call, started: Instant, kind: &str, e: io::Error) {
+        let shard = call.request.0;
+        shard.counters.errors.fetch_add(1, Ordering::Relaxed);
+        record_attempt(self.trace.as_ref(), shard, started, kind, "error", false);
+        if !call.attempts.is_empty() {
+            return;
+        }
+        if shard.health.record_data_failure(Instant::now()) == State::Down {
+            shard.pool.drain();
+        } else if call.retries < self.shared.config.retries && Instant::now() < self.deadline {
+            call.retries += 1;
+            self.shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
+            self.start_round(call);
+            return;
+        }
+        call.outcome = Some(Err(e));
+    }
+
+    /// Attempt `index` answered first: record it, park its connection,
+    /// and abandon the rest of the round.
+    fn won(&self, call: &mut Call, index: usize, response: HttpResponse) {
+        let shard = call.request.0;
+        let attempt = call.attempts.remove(index);
+        let us = duration_us(attempt.started.elapsed());
+        shard.counters.latency.observe_us(us);
+        shard.latency.lock().unwrap().record(us);
+        if attempt.kind == "hedge" {
+            self.shared
+                .metrics
+                .hedge_wins
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        record_attempt(
+            self.trace.as_ref(),
+            shard,
+            attempt.started,
+            attempt.kind,
+            "ok",
+            true,
+        );
+        park(shard, attempt.conn, &response);
+        shard.health.record_data_success();
+        self.abandon(call);
+        call.outcome = Some(Ok(response));
+    }
+
+    /// Close every attempt still out, recording each as `abandoned`.
+    fn abandon(&self, call: &mut Call) {
+        for attempt in call.attempts.drain(..) {
+            record_attempt(
+                self.trace.as_ref(),
+                call.request.0,
+                attempt.started,
+                attempt.kind,
+                "abandoned",
+                false,
+            );
+        }
+    }
+}
+
+/// Record one `attempt` span on the request's trace, if it is traced:
+/// its shard, kind (primary/hedge/forward), outcome, and winner flag.
+fn record_attempt(
+    trace: Option<&TraceHandle>,
+    shard: &ShardRuntime,
+    started: Instant,
+    kind: &str,
+    outcome: &str,
+    win: bool,
+) {
+    let Some(trace) = trace else { return };
+    let mut attrs = vec![
+        ("shard", shard.addr.clone()),
+        ("kind", kind.to_string()),
+        ("outcome", outcome.to_string()),
+    ];
+    if win {
+        attrs.push(("win", "true".to_string()));
+    }
+    trace.record("attempt", started, Instant::now(), attrs);
+}
+
+/// Take a pooled connection (any dial bounded by `within`) and send
+/// the request on it, carrying the edge-minted trace ID so the shard
+/// logs its spans under the same trace.
+fn send_attempt(
+    shard: &ShardRuntime,
     method: &str,
     target: &str,
     body: Option<&str>,
-    deadline: Instant,
-) -> Result<HttpResponse, CallError> {
-    let trigger = hedge_trigger(shared, shard);
-    let trace_hex = obs::current_id_hex();
-    let mut log = AttemptLog::new(shard);
-    let (tx, rx) = mpsc::channel();
-    log.launched(false);
-    spawn_attempt(
-        shard,
-        shared.config.client,
-        method,
-        target,
-        body,
-        deadline,
-        false,
-        trace_hex.clone(),
-        tx.clone(),
-    );
-    let started = Instant::now();
-    let mut outstanding: u32 = 1;
-    let mut hedged = false;
-    let result = loop {
-        let now = Instant::now();
-        if now >= deadline {
-            break Err(CallError::Deadline);
-        }
-        let until_deadline = deadline - now;
-        let wait = match (hedged, trigger) {
-            (false, Some(t)) => (started + t)
-                .saturating_duration_since(now)
-                .min(until_deadline),
-            _ => until_deadline,
-        };
-        match rx.recv_timeout(wait) {
-            Ok((Ok((response, latency)), is_hedge)) => {
-                let us = duration_us(latency);
-                shard.counters.latency.observe_us(us);
-                shard.latency.lock().unwrap().record(us);
-                if is_hedge {
-                    shared.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                }
-                log.resolved(is_hedge, "ok", true);
-                break Ok(response);
-            }
-            Ok((Err(e), is_hedge)) => {
-                log.resolved(is_hedge, "error", false);
-                outstanding -= 1;
-                if outstanding == 0 {
-                    break Err(CallError::Transport(e));
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    break Err(CallError::Deadline);
-                }
-                if !hedged {
-                    hedged = true;
-                    outstanding += 1;
-                    shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-                    log.launched(true);
-                    spawn_attempt(
-                        shard,
-                        shared.config.client,
-                        method,
-                        target,
-                        body,
-                        deadline,
-                        true,
-                        trace_hex.clone(),
-                        tx.clone(),
-                    );
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(CallError::Transport(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "all attempts vanished",
-                )));
-            }
-        }
-    };
-    log.finish();
-    result
+    trace_hex: Option<&str>,
+    within: Duration,
+) -> io::Result<ClientConn> {
+    shard.counters.calls.fetch_add(1, Ordering::Relaxed);
+    let mut conn = shard.pool.get(within)?;
+    let headers: Vec<(&str, &str)> = trace_hex
+        .map(|hex| (obs::TRACE_HEADER, hex))
+        .into_iter()
+        .collect();
+    conn.send_with(method, target, body, &headers)?;
+    Ok(conn)
+}
+
+/// Park a connection whose exchange completed — unless the shard
+/// answered `Connection: close` (a contended shard is about to serve
+/// whoever waits in its admission queue; parking that socket would hand
+/// the next attempt a dead one), or sent bytes past its response (the
+/// next attempt would read them as its answer).
+fn park(shard: &ShardRuntime, conn: ClientConn, response: &HttpResponse) {
+    let closing = response
+        .header("connection")
+        .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+    if !closing && conn.buffered() == 0 {
+        shard.pool.put(conn);
+    }
 }
 
 fn hedge_trigger(shared: &RouterShared, shard: &ShardRuntime) -> Option<Duration> {
@@ -774,61 +873,6 @@ fn hedge_trigger(shared: &RouterShared, shard: &ShardRuntime) -> Option<Duration
             Some(p95.unwrap_or(max).clamp(min, max))
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_attempt(
-    shard: &Arc<ShardRuntime>,
-    client: ClientConfig,
-    method: &str,
-    target: &str,
-    body: Option<&str>,
-    deadline: Instant,
-    is_hedge: bool,
-    trace_hex: Option<String>,
-    tx: mpsc::Sender<(io::Result<(HttpResponse, Duration)>, bool)>,
-) {
-    let shard = Arc::clone(shard);
-    let method = method.to_string();
-    let target = target.to_string();
-    let body = body.map(str::to_string);
-    thread::spawn(move || {
-        shard.counters.calls.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let result = (|| {
-            let mut conn = shard.pool.get()?;
-            // Bound the read by what is left of the deadline (floored
-            // so the OS accepts the timeout) — a detached attempt may
-            // outlive the coordinator, but only by this much.
-            let remaining = deadline
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(10));
-            conn.set_read_timeout(remaining.min(client.read_timeout))?;
-            // The attempt carries the edge-minted trace ID so the shard
-            // logs its spans under the same trace.
-            let headers: Vec<(&str, &str)> = trace_hex
-                .as_deref()
-                .map(|hex| (obs::TRACE_HEADER, hex))
-                .into_iter()
-                .collect();
-            let response = conn.request_with(&method, &target, body.as_deref(), &headers)?;
-            conn.set_read_timeout(client.read_timeout)?;
-            // A contended shard answers `Connection: close` (it is about
-            // to serve whoever waits in its admission queue); parking
-            // that socket would hand the next attempt a dead one.
-            let closing = response
-                .header("connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-            if !closing {
-                shard.pool.put(conn);
-            }
-            Ok((response, started.elapsed()))
-        })();
-        if result.is_err() {
-            shard.counters.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        let _ = tx.send((result, is_hedge));
-    });
 }
 
 fn duration_us(d: Duration) -> u64 {
@@ -1140,38 +1184,30 @@ fn forward_once(
     record_latency: bool,
 ) -> io::Result<HttpResponse> {
     if !shard.health.routable() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotConnected,
-            format!("shard {} is down", shard.addr),
-        ));
+        return Err(shard_down(shard));
     }
-    shard.counters.calls.fetch_add(1, Ordering::Relaxed);
-    let mut span = obs::span("attempt");
-    span.attr("shard", shard.addr.as_str());
-    span.attr("kind", "forward");
-    let trace_hex = obs::current_id_hex();
     let started = Instant::now();
     let result = (|| {
-        let mut conn = shard.pool.get()?;
+        let trace_hex = obs::current_id_hex();
+        let mut conn = send_attempt(
+            shard,
+            method,
+            target,
+            body,
+            trace_hex.as_deref(),
+            read_timeout,
+        )?;
         conn.set_read_timeout(read_timeout)?;
-        let headers: Vec<(&str, &str)> = trace_hex
-            .as_deref()
-            .map(|hex| (obs::TRACE_HEADER, hex))
-            .into_iter()
-            .collect();
-        let response = conn.request_with(method, target, body, &headers)?;
+        let response = conn.read_response()?;
         conn.set_read_timeout(shared.config.client.read_timeout)?;
-        let closing = response
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        if !closing {
-            shard.pool.put(conn);
-        }
+        park(shard, conn, &response);
         Ok(response)
     })();
+    let outcome = if result.is_ok() { "ok" } else { "error" };
+    let trace = obs::current();
+    record_attempt(trace.as_ref(), shard, started, "forward", outcome, false);
     match &result {
         Ok(_) => {
-            span.attr("outcome", "ok");
             shard.health.record_data_success();
             if record_latency {
                 let us = duration_us(started.elapsed());
@@ -1180,7 +1216,6 @@ fn forward_once(
             }
         }
         Err(_) => {
-            span.attr("outcome", "error");
             shard.counters.errors.fetch_add(1, Ordering::Relaxed);
             shard.health.record_data_failure(Instant::now());
             if !shard.health.routable() {
@@ -1535,52 +1570,54 @@ fn scatter_slots(
     }
     let mut groups: Vec<(usize, Vec<usize>)> = grouped.into_iter().collect();
     groups.sort_by_key(|&(shard_index, _)| shard_index);
-    let trace = obs::current();
-    thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .map(|(shard_index, slots)| {
-                let shard = Arc::clone(&shared.shards[*shard_index]);
-                let sub_jobs: Vec<Json> = slots.iter().map(|&s| jobs[s].clone()).collect();
-                let trace = trace.clone();
-                scope.spawn(move || {
-                    let _ambient = trace.map(obs::attach);
-                    let body = Json::Obj(vec![("jobs".into(), Json::Arr(sub_jobs))])
-                        .encode()
-                        .expect("batch body re-encodes");
-                    let call =
-                        shard_call(shared, &shard, "POST", "/v1/batch", Some(&body), deadline);
-                    (shard, call)
-                })
-            })
-            .collect();
-        for (handle, (_, slots)) in handles.into_iter().zip(&groups) {
-            let (shard, call) = handle.join().expect("batch scatter thread panicked");
-            let parsed = call
-                .ok()
-                .and_then(|response| parse_batch_results(&response, slots.len()));
-            match parsed {
-                Some(shard_results) => {
-                    for (&slot, result) in slots.iter().zip(shard_results) {
-                        results[slot] = Some(result);
-                    }
-                }
-                None => {
-                    for &slot in slots {
-                        results[slot] = Some(Json::Obj(vec![
-                            ("doc".into(), Json::Str(slot_docs[slot].to_string())),
-                            ("status".into(), Json::Int(503)),
-                            (
-                                "error".into(),
-                                Json::Str(format!("shard {} unreachable", shard.addr)),
-                            ),
-                        ]));
-                    }
-                    failed.push(shard.addr.clone());
+    let bodies: Vec<String> = groups
+        .iter()
+        .map(|(_, slots)| {
+            let sub_jobs: Vec<Json> = slots.iter().map(|&s| jobs[s].clone()).collect();
+            Json::Obj(vec![("jobs".into(), Json::Arr(sub_jobs))])
+                .encode()
+                .expect("batch body re-encodes")
+        })
+        .collect();
+    let requests: Vec<ShardRequest> = groups
+        .iter()
+        .zip(&bodies)
+        .map(|((shard_index, _), body)| {
+            (
+                &shared.shards[*shard_index],
+                "POST",
+                "/v1/batch",
+                Some(body.as_str()),
+            )
+        })
+        .collect();
+    let calls = shard_calls(shared, &requests, deadline);
+    for (call, (shard_index, slots)) in calls.into_iter().zip(&groups) {
+        let shard = &shared.shards[*shard_index];
+        let parsed = call
+            .ok()
+            .and_then(|response| parse_batch_results(&response, slots.len()));
+        match parsed {
+            Some(shard_results) => {
+                for (&slot, result) in slots.iter().zip(shard_results) {
+                    results[slot] = Some(result);
                 }
             }
+            None => {
+                for &slot in slots {
+                    results[slot] = Some(Json::Obj(vec![
+                        ("doc".into(), Json::Str(slot_docs[slot].to_string())),
+                        ("status".into(), Json::Int(503)),
+                        (
+                            "error".into(),
+                            Json::Str(format!("shard {} unreachable", shard.addr)),
+                        ),
+                    ]));
+                }
+                failed.push(shard.addr.clone());
+            }
         }
-    });
+    }
     groups.len()
 }
 
@@ -1607,25 +1644,13 @@ fn fan_out(
     target: &str,
 ) -> Vec<(Arc<ShardRuntime>, io::Result<HttpResponse>)> {
     let deadline = Instant::now() + shared.config.deadline;
-    let trace = obs::current();
-    thread::scope(|scope| {
-        let handles: Vec<_> = shared
-            .shards
-            .iter()
-            .map(|shard| {
-                let trace = trace.clone();
-                scope.spawn(move || {
-                    let _ambient = trace.map(obs::attach);
-                    let call = shard_call(shared, shard, "GET", target, None, deadline);
-                    (Arc::clone(shard), call)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fan-out thread panicked"))
-            .collect()
-    })
+    let requests: Vec<ShardRequest> = shared
+        .shards
+        .iter()
+        .map(|shard| (shard, "GET", target, None))
+        .collect();
+    let calls = shard_calls(shared, &requests, deadline);
+    shared.shards.iter().cloned().zip(calls).collect()
 }
 
 /// Decode the `hits` array of a shard's merged answer.
@@ -1916,6 +1941,55 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
+    fn shard_at(addr: &str, config: &RouterConfig) -> ShardRuntime {
+        ShardRuntime {
+            index: 0,
+            addr: addr.into(),
+            pool: Pool::new(addr.into(), config.client, 4),
+            health: Health::new(config.health_policy(), Instant::now(), 1),
+            counters: ShardCounters::default(),
+            latency: Mutex::new(LatencyWindow::default()),
+            generation: AtomicU64::new(0),
+        }
+    }
+
+    #[test]
+    fn park_keeps_only_connections_in_step_with_the_shard() {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let replies: [&[u8]; 3] = [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+            // A second, unrequested response behind the first.
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokHTTP/1.1 200 OK\r\n\r\n",
+        ];
+        let server = thread::spawn(move || {
+            let mut streams = Vec::new();
+            for reply in replies {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut request = [0u8; 1024];
+                assert!(stream.read(&mut request).unwrap() > 0);
+                stream.write_all(reply).unwrap();
+                streams.push(stream);
+            }
+            streams
+        });
+        let config = RouterConfig::new(vec![addr.clone()]);
+        let shard = shard_at(&addr, &config);
+        let conns: Vec<ClientConn> = (0..replies.len())
+            .map(|_| ClientConn::connect(&addr).unwrap())
+            .collect();
+        for mut conn in conns {
+            let response = conn.request("GET", "/x", None).unwrap();
+            assert_eq!(response.body_str(), "ok");
+            park(&shard, conn, &response);
+            // Only the first, clean exchange is parked.
+            assert_eq!(shard.pool.idle_len(), 1);
+        }
+        drop(server.join().unwrap());
+    }
+
     #[test]
     fn hedge_trigger_clamps_and_cold_starts_at_max() {
         let mut config = RouterConfig::new(vec!["127.0.0.1:1".into()]);
@@ -1923,15 +1997,7 @@ mod tests {
             min: Duration::from_millis(2),
             max: Duration::from_millis(20),
         };
-        let shard = ShardRuntime {
-            index: 0,
-            addr: "127.0.0.1:1".into(),
-            pool: Pool::new("127.0.0.1:1".into(), config.client, 1),
-            health: Health::new(config.health_policy(), Instant::now(), 1),
-            counters: ShardCounters::default(),
-            latency: Mutex::new(LatencyWindow::default()),
-            generation: AtomicU64::new(0),
-        };
+        let shard = shard_at("127.0.0.1:1", &config);
         let shared = RouterShared {
             ring: Ring::new(1, 8),
             config,

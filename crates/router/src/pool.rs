@@ -11,6 +11,7 @@
 
 use std::io;
 use std::sync::Mutex;
+use std::time::Duration;
 
 use sigstr_server::client::{ClientConfig, ClientConn};
 
@@ -39,12 +40,23 @@ impl Pool {
         &self.addr
     }
 
-    /// Pop an idle connection or dial a fresh one.
-    pub fn get(&self) -> io::Result<ClientConn> {
-        if let Some(conn) = self.idle.lock().unwrap().pop() {
+    /// Pop an idle connection or dial a fresh one. Any dial made for
+    /// this exchange — the fresh one here, or a stale reconnect of a
+    /// parked socket — is bounded by `min(connect_timeout, within)`, so
+    /// a caller can cap it by what is left of its deadline.
+    pub fn get(&self, within: Duration) -> io::Result<ClientConn> {
+        let connect_timeout = self.config.connect_timeout.min(within);
+        if let Some(mut conn) = self.idle.lock().unwrap().pop() {
+            conn.set_connect_timeout(connect_timeout);
             return Ok(conn);
         }
-        ClientConn::connect_with(&self.addr, self.config)
+        ClientConn::connect_with(
+            &self.addr,
+            ClientConfig {
+                connect_timeout,
+                ..self.config
+            },
+        )
     }
 
     /// Park a connection after a clean exchange.
@@ -73,7 +85,6 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::TcpListener;
-    use std::time::Duration;
 
     fn config() -> ClientConfig {
         ClientConfig {
@@ -97,9 +108,9 @@ mod tests {
         });
 
         let pool = Pool::new(addr.to_string(), config(), 2);
-        let a = pool.get().unwrap();
-        let b = pool.get().unwrap();
-        let c = pool.get().unwrap();
+        let a = pool.get(Duration::MAX).unwrap();
+        let b = pool.get(Duration::MAX).unwrap();
+        let c = pool.get(Duration::MAX).unwrap();
         let _streams = server.join().unwrap();
 
         let b_peer = b.peer_addr();
@@ -109,7 +120,7 @@ mod tests {
         assert_eq!(pool.idle_len(), 2);
 
         // LIFO: the most recently parked surviving connection comes back first.
-        let reused = pool.get().unwrap();
+        let reused = pool.get(Duration::MAX).unwrap();
         assert_eq!(reused.peer_addr(), b_peer);
         assert_eq!(pool.idle_len(), 1);
 
@@ -130,7 +141,7 @@ mod tests {
                 .unwrap();
         });
         let pool = Pool::new(addr.to_string(), config(), 4);
-        let mut conn = pool.get().unwrap();
+        let mut conn = pool.get(Duration::MAX).unwrap();
         let response = conn.request("GET", "/x", None).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.body_str(), "hi");

@@ -5,7 +5,9 @@
 //! one real TCP code path instead of several hand-rolled response
 //! parsers. It is deliberately tiny: one connection, sequential
 //! request/response, `Content-Length` bodies only — exactly the dialect
-//! the server speaks.
+//! the server speaks. A caller multiplexing many connections on one
+//! thread (the router) splits an exchange into [`ClientConn::send_with`]
+//! and one [`ClientConn::recv_with`] step per `poll(2)` readiness.
 //!
 //! Two hardening guarantees matter to callers that *pool* connections:
 //!
@@ -84,6 +86,10 @@ pub struct ClientConn {
     /// reconnect is only attempted when this is non-zero — a fresh
     /// connection that fails is a real error, not keep-alive decay.
     served: u64,
+    /// The encoded request awaiting its response (empty once answered,
+    /// and after [`ClientConn::send_raw`]): what a stale reconnect
+    /// resends.
+    pending: Vec<u8>,
 }
 
 impl ClientConn {
@@ -108,6 +114,7 @@ impl ClientConn {
             addr,
             config,
             served: 0,
+            pending: Vec::new(),
         })
     }
 
@@ -124,8 +131,23 @@ impl ClientConn {
         self.stream.set_read_timeout(Some(timeout))
     }
 
+    /// Override the connect timeout a stale reconnect dials with (e.g.
+    /// to bound it by a request deadline). Sticks until changed again.
+    pub fn set_connect_timeout(&mut self, timeout: Duration) {
+        self.config.connect_timeout = timeout;
+    }
+
+    /// Response bytes already read off the socket but not yet returned.
+    /// Non-zero right after a response completes means the peer sent
+    /// more than that response: the connection is out of step with its
+    /// peer and not fit for reuse.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
     /// Send raw bytes (for driving malformed input at the server).
     pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.pending.clear();
         self.stream.write_all(bytes)?;
         self.stream.flush()
     }
@@ -149,9 +171,8 @@ impl ClientConn {
     }
 
     /// [`ClientConn::request`] with extra request headers (the trace
-    /// header on router→shard hops). Each entry is one `Name: value`
-    /// pair; names must be untrusted-input-free (they go on the wire
-    /// verbatim).
+    /// header on router→shard hops): [`ClientConn::send_with`], then
+    /// [`ClientConn::read_response`].
     pub fn request_with(
         &mut self,
         method: &str,
@@ -159,23 +180,24 @@ impl ClientConn {
         body: Option<&str>,
         headers: &[(&str, &str)],
     ) -> std::io::Result<HttpResponse> {
-        match self.try_request(method, target, body, headers) {
-            Ok(response) => Ok(response),
-            Err(e) if self.served > 0 && self.buf.is_empty() && is_stale_error(&e) => {
-                self.reconnect()?;
-                self.try_request(method, target, body, headers)
-            }
-            Err(e) => Err(e),
-        }
+        self.send_with(method, target, body, headers)?;
+        self.read_response()
     }
 
-    fn try_request(
+    /// Write one request — head and body in a single write. Each
+    /// `headers` entry is one `Name: value` pair; names must be
+    /// untrusted-input-free (they go on the wire verbatim).
+    ///
+    /// A write that fails the stale way (see [`ClientConn::request`])
+    /// reconnects once and rewrites; the response half then gets no
+    /// second reconnect.
+    pub fn send_with(
         &mut self,
         method: &str,
         target: &str,
         body: Option<&str>,
         headers: &[(&str, &str)],
-    ) -> std::io::Result<HttpResponse> {
+    ) -> std::io::Result<()> {
         let mut head = format!("{method} {target} HTTP/1.1\r\nHost: sigstr\r\n");
         for (name, value) in headers {
             head.push_str(&format!("{name}: {value}\r\n"));
@@ -185,12 +207,62 @@ impl ClientConn {
             head.push_str(&format!("Content-Length: {}\r\n", body.len()));
         }
         head.push_str("\r\n");
-        self.stream.write_all(head.as_bytes())?;
-        if let Some(body) = body {
-            self.stream.write_all(body.as_bytes())?;
+        self.pending.clear();
+        self.pending.extend_from_slice(head.as_bytes());
+        self.pending
+            .extend_from_slice(body.map(str::as_bytes).unwrap_or_default());
+        match self.write_pending() {
+            Err(e) if self.stale(&e) => {
+                self.reconnect()?;
+                self.write_pending()
+            }
+            result => result,
         }
-        self.stream.flush()?;
-        self.read_response()
+    }
+
+    /// One step of reading a response, for poll-driven callers: returns
+    /// a response already complete in the buffer, otherwise performs
+    /// exactly one `read(2)` and returns the response if that completed
+    /// it (`None`: call again when the socket is readable). A stale
+    /// failure before any response byte reconnects once and resends the
+    /// pending request, then reports `None` — the socket (and its raw
+    /// fd) is a new one.
+    pub fn recv_with(&mut self) -> std::io::Result<Option<HttpResponse>> {
+        if let Some(response) = self.take_response()? {
+            return Ok(Some(response));
+        }
+        match self.read_chunk() {
+            Ok(()) => self.take_response(),
+            Err(e) if !self.pending.is_empty() && self.stale(&e) => {
+                self.reconnect()?;
+                self.write_pending()?;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Read one response (after [`ClientConn::send_raw`], or as the
+    /// second half of [`ClientConn::request`]): [`ClientConn::recv_with`]
+    /// until it completes, each read bounded by the read timeout.
+    pub fn read_response(&mut self) -> std::io::Result<HttpResponse> {
+        loop {
+            if let Some(response) = self.recv_with()? {
+                return Ok(response);
+            }
+        }
+    }
+
+    fn write_pending(&mut self) -> std::io::Result<()> {
+        self.stream.write_all(&self.pending)?;
+        self.stream.flush()
+    }
+
+    /// Whether `e` is keep-alive decay worth one reconnect: this
+    /// connection served a response before, and no byte of the current
+    /// one has arrived.
+    fn stale(&self, e: &std::io::Error) -> bool {
+        self.served > 0 && self.buf.is_empty() && is_stale_error(e)
     }
 
     /// Drop the stale socket and dial the same peer again.
@@ -201,24 +273,28 @@ impl ClientConn {
         Ok(())
     }
 
-    /// Read one response (after [`ClientConn::send_raw`], or as the
-    /// second half of [`ClientConn::request`]).
-    pub fn read_response(&mut self) -> std::io::Result<HttpResponse> {
-        let header_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before a full response",
-                ));
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
+    /// One `read(2)` appended to the buffer; EOF is an error (a
+    /// response is always pending when this is called).
+    fn read_chunk(&mut self) -> std::io::Result<()> {
+        let mut chunk = [0u8; 16 * 1024];
+        let n = self.stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed before a full response",
+            ));
+        }
+        self.buf.extend_from_slice(&chunk[..n]);
+        Ok(())
+    }
+
+    /// Split one complete response off the front of the buffer, if the
+    /// buffer holds one.
+    fn take_response(&mut self) -> std::io::Result<Option<HttpResponse>> {
+        let Some(header_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+            return Ok(None);
         };
-        let head = String::from_utf8(self.buf[..header_end].to_vec())
+        let head = std::str::from_utf8(&self.buf[..header_end])
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let mut lines = head.split("\r\n");
         let status_line = lines.next().unwrap_or_default();
@@ -242,25 +318,28 @@ impl ClientConn {
             .and_then(|(_, v)| v.parse().ok())
             .unwrap_or(0);
         let body_start = header_end + 4;
-        while self.buf.len() < body_start + content_length {
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ));
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
+        if self.buf.len() < body_start + content_length {
+            return Ok(None);
         }
         let body = self.buf[body_start..body_start + content_length].to_vec();
         self.buf.drain(..body_start + content_length);
         self.served += 1;
-        Ok(HttpResponse {
+        self.pending.clear();
+        Ok(Some(HttpResponse {
             status,
             headers,
             body,
-        })
+        }))
+    }
+}
+
+#[cfg(unix)]
+impl std::os::unix::io::AsRawFd for ClientConn {
+    /// The current socket's descriptor, for `poll(2)`. It changes when a
+    /// stale reconnect replaces the socket, so poll-driven callers read
+    /// it afresh before every wait.
+    fn as_raw_fd(&self) -> std::os::unix::io::RawFd {
+        self.stream.as_raw_fd()
     }
 }
 
@@ -337,6 +416,36 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let second = conn.request("GET", "/healthz", None).unwrap();
         assert_eq!(second.status, 200);
+        drop(conn);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn recv_with_returns_a_response_only_once_it_is_complete() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (next, wait) = std::sync::mpsc::channel::<()>();
+        let (head, tail) = RESPONSE.split_at(RESPONSE.len() - 2);
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            assert!(read_request(&mut stream));
+            stream.write_all(head).unwrap();
+            wait.recv().unwrap();
+            stream.write_all(tail).unwrap();
+            assert!(!read_request(&mut stream));
+        });
+        let mut conn = ClientConn::connect(addr).unwrap();
+        conn.send_with("GET", "/healthz", None, &[]).unwrap();
+        assert!(conn.recv_with().unwrap().is_none(), "half a body");
+        assert!(conn.buffered() > 0);
+        next.send(()).unwrap();
+        let response = loop {
+            if let Some(response) = conn.recv_with().unwrap() {
+                break response;
+            }
+        };
+        assert_eq!(response.body_str(), "ok\n");
+        assert_eq!(conn.buffered(), 0);
         drop(conn);
         server.join().unwrap();
     }

@@ -412,7 +412,8 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Serialize a response onto any writer (used by the worker loop and by
 /// the acceptor's overload rejection, which never constructs a
-/// [`Conn`]).
+/// [`Conn`]). Head and body go out in one write, so a `TCP_NODELAY`
+/// socket sends the message as one segment the peer reads at once.
 pub fn write_response_to<W: std::io::Write>(
     writer: &mut W,
     response: &Response,
@@ -436,8 +437,10 @@ pub fn write_response_to<W: std::io::Write>(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(&response.body)?;
+    let mut message = Vec::with_capacity(head.len() + response.body.len());
+    message.extend_from_slice(head.as_bytes());
+    message.extend_from_slice(&response.body);
+    writer.write_all(&message)?;
     writer.flush()
 }
 
