@@ -562,8 +562,11 @@ fn shard_call(
 /// Issue several logical shard requests at once, each with the full
 /// robustness stack — routability gate, hedging, bounded retries, hard
 /// deadline — entirely on the calling worker: every attempt's socket is
-/// multiplexed with `poll(2)`, so no thread is spawned. One outcome per
-/// request, in order.
+/// multiplexed with `poll(2)`, so no thread is spawned. Nothing here
+/// waits on the network outside that poll: dials, request writes and
+/// stale reconnects are all non-blocking steps (see [`send_attempt`]),
+/// so one shard that never answers a dial cannot hold up another
+/// shard's answer. One outcome per request, in order.
 ///
 /// Per request, a *round* is a primary attempt plus at most one hedge,
 /// launched once the primary outlives the hedge trigger; the first
@@ -571,7 +574,8 @@ fn shard_call(
 /// closed — they still carry an unread response, so they are never
 /// parked). A transport failure with no other attempt outstanding fails
 /// the round: it counts against the shard's health, and a fresh round
-/// starts within the retry budget. Past the deadline every unresolved
+/// starts within the retry budget. A dial is bounded by
+/// `min(connect_timeout, deadline)`. Past the deadline every unresolved
 /// request fails with `TimedOut`, which is not held against the shard.
 fn shard_calls(
     shared: &RouterShared,
@@ -607,18 +611,8 @@ fn shard_calls(
     let mut owners = Vec::new();
     loop {
         let now = Instant::now();
-        if now >= deadline {
-            for call in calls.iter_mut().filter(|c| c.outcome.is_none()) {
-                run.abandon(call);
-                call.outcome = Some(Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "deadline exceeded",
-                )));
-            }
-            break;
-        }
         for call in calls.iter_mut().filter(|c| c.outcome.is_none()) {
-            if call.hedge_at.is_some_and(|at| at <= now) {
+            if call.hedge_at.is_some_and(|at| at <= now && now < deadline) {
                 call.hedge_at = None;
                 shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
                 run.launch(call, "hedge");
@@ -633,14 +627,20 @@ fn shard_calls(
             }
             wake = wake.min(call.hedge_at.unwrap_or(deadline));
             for (a, attempt) in call.attempts.iter().enumerate() {
-                fds.push(attempt.conn.as_raw_fd());
+                let conn = &attempt.conn;
+                wake = wake.min(conn.connect_deadline().unwrap_or(deadline));
+                fds.push((conn.as_raw_fd(), conn.wants_write()));
                 owners.push((c, a));
             }
         }
         if owners.is_empty() {
             break;
         }
-        let ready = match poll::readable(&fds, wake.saturating_duration_since(now)) {
+        // The wait is measured after the launches above, so their cost
+        // never stretches it past a hedge trigger or the deadline. Past
+        // the deadline it is a zero-timeout poll: answers that already
+        // arrived still win before the rest time out.
+        let ready = match poll::ready(&fds, wake.saturating_duration_since(Instant::now())) {
             Ok(ready) => ready,
             Err(e) => {
                 for call in calls.iter_mut().filter(|c| c.outcome.is_none()) {
@@ -650,15 +650,21 @@ fn shard_calls(
                 break;
             }
         };
+        let now = Instant::now();
         // Later attempts first, so removing one never shifts the index
-        // of an attempt still to be handled.
-        for &i in ready.iter().rev() {
-            let (c, a) = owners[i];
+        // of an attempt still to be handled. A dial past its connect
+        // deadline takes a step too, and fails in it.
+        for (i, &(c, a)) in owners.iter().enumerate().rev() {
             let call = &mut calls[c];
             if call.outcome.is_some() {
                 continue;
             }
-            match call.attempts[a].conn.recv_with() {
+            let conn = &mut call.attempts[a].conn;
+            let due = ready.contains(&i) || conn.connect_deadline().is_some_and(|by| by <= now);
+            if !due {
+                continue;
+            }
+            match conn.recv_with() {
                 Ok(None) => {}
                 Ok(Some(response)) => run.won(call, a, response),
                 Err(e) => {
@@ -666,6 +672,16 @@ fn shard_calls(
                     run.failed(call, attempt.started, attempt.kind, e);
                 }
             }
+        }
+        if Instant::now() >= deadline {
+            for call in calls.iter_mut().filter(|c| c.outcome.is_none()) {
+                run.abandon(call);
+                call.outcome = Some(Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "deadline exceeded",
+                )));
+            }
+            break;
         }
     }
     calls
@@ -711,23 +727,13 @@ impl CallLoop<'_> {
         self.launch(call, "primary");
     }
 
-    /// Send one attempt, dialing within what is left of the deadline. A
-    /// launch that fails is an attempt that failed at once.
+    /// Launch one attempt; it never waits on the network (see
+    /// [`send_attempt`]). A launch that fails is an attempt that failed
+    /// at once.
     fn launch(&self, call: &mut Call, kind: &'static str) {
         let (shard, method, target, body) = call.request;
         let started = Instant::now();
-        let within = self
-            .deadline
-            .saturating_duration_since(started)
-            .max(Duration::from_millis(1));
-        match send_attempt(
-            shard,
-            method,
-            target,
-            body,
-            self.trace_hex.as_deref(),
-            within,
-        ) {
+        match send_attempt(shard, method, target, body, self.trace_hex.as_deref()) {
             Ok(conn) => call.attempts.push(Attempt {
                 conn,
                 started,
@@ -824,25 +830,42 @@ fn record_attempt(
     trace.record("attempt", started, Instant::now(), attrs);
 }
 
-/// Take a pooled connection (any dial bounded by `within`) and send
-/// the request on it, carrying the edge-minted trace ID so the shard
-/// logs its spans under the same trace.
+/// Take a pooled connection and queue the request on it, carrying the
+/// edge-minted trace ID so the shard logs its spans under the same
+/// trace. Pooled connections are poll-driven: a fresh dial only starts
+/// here, and the request goes out as far as the socket takes it now —
+/// the caller's `poll(2)` loop finishes both under its deadline.
 fn send_attempt(
     shard: &ShardRuntime,
     method: &str,
     target: &str,
     body: Option<&str>,
     trace_hex: Option<&str>,
-    within: Duration,
 ) -> io::Result<ClientConn> {
     shard.counters.calls.fetch_add(1, Ordering::Relaxed);
-    let mut conn = shard.pool.get(within)?;
+    let mut conn = shard.pool.get()?;
     let headers: Vec<(&str, &str)> = trace_hex
         .map(|hex| (obs::TRACE_HEADER, hex))
         .into_iter()
         .collect();
     conn.send_with(method, target, body, &headers)?;
     Ok(conn)
+}
+
+/// Drive one attempt to its response on the calling worker, waiting in
+/// `poll(2)` until `deadline` at the latest.
+fn await_response(conn: &mut ClientConn, deadline: Instant) -> io::Result<HttpResponse> {
+    loop {
+        let wake = conn.connect_deadline().unwrap_or(deadline).min(deadline);
+        let wait = wake.saturating_duration_since(Instant::now());
+        poll::ready(&[(conn.as_raw_fd(), conn.wants_write())], wait)?;
+        if let Some(response) = conn.recv_with()? {
+            return Ok(response);
+        }
+        if Instant::now() >= deadline {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline exceeded"));
+        }
+    }
 }
 
 /// Park a connection whose exchange completed — unless the shard
@@ -1167,20 +1190,20 @@ fn append_route_doc(path: &str) -> Option<&str> {
 }
 
 /// One unhedged, unretried forward to a shard, inline on the calling
-/// worker. The write path (appends, watch registration) must never
-/// duplicate side effects, so there is exactly **one** attempt — a
-/// transport failure surfaces as `503` and the client owns the retry
-/// decision. Also used for long-polls, whose custom `read_timeout`
-/// exceeds anything the hedging machinery would tolerate; those skip
-/// the p95 window (`record_latency: false`) so a 10-second hold doesn't
-/// read as a slow shard and blunt the query path's hedge trigger.
+/// worker, the whole exchange (dial included) bounded by `budget`. The
+/// write path (appends, watch registration) must never duplicate side
+/// effects, so there is exactly **one** attempt — a transport failure
+/// surfaces as `503` and the client owns the retry decision. Also used
+/// for long-polls, whose budget exceeds anything the hedging machinery
+/// would tolerate; those skip the p95 window (`record_latency: false`)
+/// so a 10-second hold doesn't read as a slow shard and blunt the query
+/// path's hedge trigger.
 fn forward_once(
-    shared: &RouterShared,
     shard: &Arc<ShardRuntime>,
     method: &str,
     target: &str,
     body: Option<&str>,
-    read_timeout: Duration,
+    budget: Duration,
     record_latency: bool,
 ) -> io::Result<HttpResponse> {
     if !shard.health.routable() {
@@ -1189,17 +1212,8 @@ fn forward_once(
     let started = Instant::now();
     let result = (|| {
         let trace_hex = obs::current_id_hex();
-        let mut conn = send_attempt(
-            shard,
-            method,
-            target,
-            body,
-            trace_hex.as_deref(),
-            read_timeout,
-        )?;
-        conn.set_read_timeout(read_timeout)?;
-        let response = conn.read_response()?;
-        conn.set_read_timeout(shared.config.client.read_timeout)?;
+        let mut conn = send_attempt(shard, method, target, body, trace_hex.as_deref())?;
+        let response = await_response(&mut conn, started + budget)?;
         park(shard, conn, &response);
         Ok(response)
     })();
@@ -1266,7 +1280,6 @@ fn forward_to_owner(
     let mut rerouted = false;
     loop {
         match forward_once(
-            shared,
             &shard,
             method,
             target,
@@ -1374,14 +1387,14 @@ fn handle_watch_forward_by_param(
 }
 
 /// The ceiling on a forwarded long-poll's hold (mirrors the shard's own
-/// cap) and the transport slack allowed past it before the read times
-/// out.
+/// cap) and the transport slack allowed past it before the forward
+/// times out.
 const WATCH_POLL_MAX_MS: u64 = 30_000;
 const WATCH_POLL_SLACK: Duration = Duration::from_secs(5);
 
 /// `GET /v1/watch?doc=&since=&timeout_ms=` — forwarded to the owning
 /// shard as a blocking hold: the shard parks the request until an alert
-/// arrives or `timeout_ms` elapses, so the router's read timeout must
+/// arrives or `timeout_ms` elapses, so the forward's budget must
 /// outlive the hold (not the 2-second data-path deadline). Long-poll
 /// latencies deliberately stay out of the hedge window.
 fn handle_watch_poll(shared: &RouterShared, request: &Request) -> Response {
@@ -1407,8 +1420,8 @@ fn handle_watch_poll(shared: &RouterShared, request: &Request) -> Response {
     };
     let target = format!("/v1/watch?doc={doc}&since={since}&timeout_ms={timeout_ms}");
     let shard = shard_for_doc(shared, doc);
-    let read_timeout = Duration::from_millis(timeout_ms) + WATCH_POLL_SLACK;
-    let response = forward_once(shared, &shard, "GET", &target, None, read_timeout, false);
+    let budget = Duration::from_millis(timeout_ms) + WATCH_POLL_SLACK;
+    let response = forward_once(&shard, "GET", &target, None, budget, false);
     shared.metrics.watch_polls.fetch_add(1, Ordering::Relaxed);
     match response {
         Ok(response) => {

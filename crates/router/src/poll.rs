@@ -3,9 +3,11 @@
 //!
 //! The router runs every shard attempt of a request on the worker that
 //! owns the request, so it needs one blocking call that wakes on
-//! whichever attempt socket has bytes first, or at the next hedge
-//! trigger, or at the deadline. That is exactly `poll(2)`; this wrapper
-//! adds the three guarantees the call loop relies on:
+//! whichever attempt socket is ready first — readable once its response
+//! arrives, writable once its dial completes or its request can go on —
+//! or at the next hedge trigger, or at the deadline. That is exactly
+//! `poll(2)`; this wrapper adds the three guarantees the call loop
+//! relies on:
 //!
 //! * the timeout is rounded **up** to whole milliseconds, and an early
 //!   wake-up with nothing ready waits out the remainder — a timed-out
@@ -41,18 +43,22 @@ extern "C" {
 
 /// `POLLIN` — shared by linux and the BSDs (including macOS).
 const POLLIN: i16 = 0x001;
+/// `POLLOUT` — likewise shared.
+const POLLOUT: i16 = 0x004;
 /// `POLLERR | POLLHUP | POLLNVAL` — likewise shared.
 const POLL_CLOSED: i16 = 0x008 | 0x010 | 0x020;
 
-/// Wait until at least one of `fds` is readable — or hung up, or in
-/// error — or `timeout` passes. Returns the positions in `fds` that are
-/// ready; empty means the full `timeout` elapsed.
-pub(crate) fn readable(fds: &[RawFd], timeout: Duration) -> io::Result<Vec<usize>> {
+/// Wait until at least one of `fds` is ready — each `(fd, write)` entry
+/// asks for writable when `write` is set, readable otherwise, and is
+/// also ready once hung up or in error — or `timeout` passes. Returns
+/// the positions in `fds` that are ready; empty means the full
+/// `timeout` elapsed.
+pub(crate) fn ready(fds: &[(RawFd, bool)], timeout: Duration) -> io::Result<Vec<usize>> {
     let mut set: Vec<PollFd> = fds
         .iter()
-        .map(|&fd| PollFd {
+        .map(|&(fd, write)| PollFd {
             fd,
-            events: POLLIN,
+            events: if write { POLLOUT } else { POLLIN },
             revents: 0,
         })
         .collect();
@@ -75,7 +81,7 @@ pub(crate) fn readable(fds: &[RawFd], timeout: Duration) -> io::Result<Vec<usize
             return Ok(set
                 .iter()
                 .enumerate()
-                .filter(|(_, p)| p.revents & (POLLIN | POLL_CLOSED) != 0)
+                .filter(|(_, p)| p.revents & (p.events | POLL_CLOSED) != 0)
                 .map(|(i, _)| i)
                 .collect());
         }
@@ -104,7 +110,7 @@ mod tests {
         let (client, _server) = pair();
         for wait in [Duration::from_micros(300), Duration::from_millis(30)] {
             let start = Instant::now();
-            let ready = readable(&[client.as_raw_fd()], wait).unwrap();
+            let ready = ready(&[(client.as_raw_fd(), false)], wait).unwrap();
             assert!(ready.is_empty(), "nothing was sent: {ready:?}");
             assert!(start.elapsed() >= wait, "woke early: {:?}", start.elapsed());
         }
@@ -115,8 +121,19 @@ mod tests {
         let (quiet, _quiet_peer) = pair();
         let (busy, mut busy_peer) = pair();
         busy_peer.write_all(b"x").unwrap();
-        let ready = readable(
-            &[quiet.as_raw_fd(), busy.as_raw_fd()],
+        let ready = ready(
+            &[(quiet.as_raw_fd(), false), (busy.as_raw_fd(), false)],
+            Duration::from_secs(5),
+        )
+        .unwrap();
+        assert_eq!(ready, vec![1]);
+    }
+
+    #[test]
+    fn reports_a_writable_socket_only_when_write_is_asked() {
+        let (conn, _peer) = pair();
+        let ready = ready(
+            &[(conn.as_raw_fd(), false), (conn.as_raw_fd(), true)],
             Duration::from_secs(5),
         )
         .unwrap();
@@ -128,7 +145,7 @@ mod tests {
         let (mut client, server) = pair();
         drop(server);
         let start = Instant::now();
-        let ready = readable(&[client.as_raw_fd()], Duration::from_secs(5)).unwrap();
+        let ready = ready(&[(client.as_raw_fd(), false)], Duration::from_secs(5)).unwrap();
         assert_eq!(ready, vec![0]);
         assert!(start.elapsed() < Duration::from_secs(1));
         let mut byte = [0u8; 1];

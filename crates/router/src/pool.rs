@@ -2,16 +2,18 @@
 //!
 //! A `get`/`put` pair brackets every shard call: `get` pops the most
 //! recently parked connection (LIFO — the warmest socket, least likely
-//! to have been idled out by the shard's keep-alive timer) or dials a
-//! fresh one; `put` parks it again after a successful exchange. Failed
-//! connections are simply dropped, never parked — the pool only ever
+//! to have been idled out by the shard's keep-alive timer) or starts
+//! dialing a fresh one; `put` parks it again after a successful
+//! exchange. Every connection here is poll-driven
+//! ([`ClientConn::dial`]), so `get` never waits on the network: the
+//! caller's `poll(2)` loop completes the dial under its own deadline.
+//! Failed connections are simply dropped, never parked — the pool only ever
 //! holds sockets whose last exchange completed cleanly, and
 //! [`ClientConn`]'s transparent stale-reconnect covers the window where
 //! the shard closed a parked socket while it idled here.
 
 use std::io;
 use std::sync::Mutex;
-use std::time::Duration;
 
 use sigstr_server::client::{ClientConfig, ClientConn};
 
@@ -40,23 +42,12 @@ impl Pool {
         &self.addr
     }
 
-    /// Pop an idle connection or dial a fresh one. Any dial made for
-    /// this exchange — the fresh one here, or a stale reconnect of a
-    /// parked socket — is bounded by `min(connect_timeout, within)`, so
-    /// a caller can cap it by what is left of its deadline.
-    pub fn get(&self, within: Duration) -> io::Result<ClientConn> {
-        let connect_timeout = self.config.connect_timeout.min(within);
-        if let Some(mut conn) = self.idle.lock().unwrap().pop() {
-            conn.set_connect_timeout(connect_timeout);
+    /// Pop an idle connection or start dialing a fresh one.
+    pub fn get(&self) -> io::Result<ClientConn> {
+        if let Some(conn) = self.idle.lock().unwrap().pop() {
             return Ok(conn);
         }
-        ClientConn::connect_with(
-            &self.addr,
-            ClientConfig {
-                connect_timeout,
-                ..self.config
-            },
-        )
+        ClientConn::dial(&self.addr, self.config)
     }
 
     /// Park a connection after a clean exchange.
@@ -85,6 +76,7 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::TcpListener;
+    use std::time::{Duration, Instant};
 
     fn config() -> ClientConfig {
         ClientConfig {
@@ -108,9 +100,9 @@ mod tests {
         });
 
         let pool = Pool::new(addr.to_string(), config(), 2);
-        let a = pool.get(Duration::MAX).unwrap();
-        let b = pool.get(Duration::MAX).unwrap();
-        let c = pool.get(Duration::MAX).unwrap();
+        let a = pool.get().unwrap();
+        let b = pool.get().unwrap();
+        let c = pool.get().unwrap();
         let _streams = server.join().unwrap();
 
         let b_peer = b.peer_addr();
@@ -120,7 +112,7 @@ mod tests {
         assert_eq!(pool.idle_len(), 2);
 
         // LIFO: the most recently parked surviving connection comes back first.
-        let reused = pool.get(Duration::MAX).unwrap();
+        let reused = pool.get().unwrap();
         assert_eq!(reused.peer_addr(), b_peer);
         assert_eq!(pool.idle_len(), 1);
 
@@ -141,8 +133,10 @@ mod tests {
                 .unwrap();
         });
         let pool = Pool::new(addr.to_string(), config(), 4);
-        let mut conn = pool.get(Duration::MAX).unwrap();
-        let response = conn.request("GET", "/x", None).unwrap();
+        let mut conn = pool.get().unwrap();
+        conn.send_with("GET", "/x", None, &[]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let response = crate::await_response(&mut conn, deadline).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.body_str(), "hi");
         server.join().unwrap();

@@ -1,19 +1,28 @@
-//! A minimal blocking HTTP/1.1 client for one keep-alive connection.
+//! A minimal HTTP/1.1 client for one keep-alive connection.
 //!
 //! This exists so the fidelity tests, the throughput bench, the CI
 //! smoke job and the scatter-gather router all drive the server through
 //! one real TCP code path instead of several hand-rolled response
 //! parsers. It is deliberately tiny: one connection, sequential
 //! request/response, `Content-Length` bodies only — exactly the dialect
-//! the server speaks. A caller multiplexing many connections on one
-//! thread (the router) splits an exchange into [`ClientConn::send_with`]
-//! and one [`ClientConn::recv_with`] step per `poll(2)` readiness.
+//! the server speaks.
+//!
+//! A connection is either *blocking* ([`ClientConn::connect`]: every
+//! call waits, bounded by the [`ClientConfig`] timeouts) or
+//! *poll-driven* ([`ClientConn::dial`]: no call ever waits on the
+//! network). A caller multiplexing many connections on one thread (the
+//! router) dials poll-driven connections, queues a request with
+//! [`ClientConn::send_with`], and takes one [`ClientConn::recv_with`]
+//! step whenever `poll(2)` reports the socket ready in the direction
+//! [`ClientConn::wants_write`] names.
 //!
 //! Two hardening guarantees matter to callers that *pool* connections:
 //!
-//! * **Every blocking operation is bounded**: connect, read and write
-//!   all carry timeouts ([`ClientConfig`]), so a wedged or black-holed
-//!   peer surfaces as a timeout error instead of a hang.
+//! * **Every wait is bounded**: a blocking connection's connect, read
+//!   and write all carry timeouts, so a wedged or black-holed peer
+//!   surfaces as a timeout error instead of a hang; a poll-driven one
+//!   never waits, and its dial gives up at
+//!   [`ClientConn::connect_deadline`].
 //! * **Stale keep-alive connections heal transparently**: a pooled
 //!   connection whose peer closed it while idle (keep-alive timeout,
 //!   server restart) fails on the *next* request with a reset or an
@@ -25,7 +34,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Timeouts for every blocking operation on a [`ClientConn`].
 #[derive(Debug, Clone, Copy)]
@@ -90,7 +99,17 @@ pub struct ClientConn {
     /// and after [`ClientConn::send_raw`]): what a stale reconnect
     /// resends.
     pending: Vec<u8>,
+    /// Bytes of `pending` already written to the current socket.
+    sent: usize,
+    /// Whether this connection was [`ClientConn::dial`]ed: its socket is
+    /// non-blocking, and a step that would wait returns instead.
+    poll_driven: bool,
+    /// While a poll-driven dial is in flight: when it gives up.
+    dialing: Option<Instant>,
 }
+
+/// Bytes asked of one `read(2)`.
+const READ_CHUNK: usize = 16 * 1024;
 
 impl ClientConn {
     /// Connect with the default timeouts (and Nagle disabled, so small
@@ -101,21 +120,40 @@ impl ClientConn {
 
     /// Connect with explicit timeouts.
     pub fn connect_with<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> std::io::Result<Self> {
-        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "address resolved to nothing",
-            )
-        })?;
+        let addr = resolve(addr)?;
         let stream = open(&addr, &config)?;
-        Ok(Self {
+        Ok(Self::over(stream, addr, config, false))
+    }
+
+    /// Start a poll-driven connection: the TCP handshake begins and this
+    /// returns at once, on a non-blocking socket. The dial gives up at
+    /// [`ClientConn::connect_deadline`] (`config.connect_timeout` from
+    /// now); the read and write timeouts do not apply — the caller's
+    /// `poll(2)` deadline bounds the exchange. A stale reconnect dials
+    /// the same way, so no call on this connection waits on the network
+    /// (except on targets without the non-blocking connect — see
+    /// `start_connect` — where the dial itself waits, bounded by
+    /// `connect_timeout`).
+    pub fn dial<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> std::io::Result<Self> {
+        let addr = resolve(addr)?;
+        let stream = start_connect(&addr, config.connect_timeout)?;
+        let mut conn = Self::over(stream, addr, config, true);
+        conn.dialing = Some(Instant::now() + config.connect_timeout);
+        Ok(conn)
+    }
+
+    fn over(stream: TcpStream, addr: SocketAddr, config: ClientConfig, poll_driven: bool) -> Self {
+        Self {
             stream,
             buf: Vec::new(),
             addr,
             config,
             served: 0,
             pending: Vec::new(),
-        })
+            sent: 0,
+            poll_driven,
+            dialing: None,
+        }
     }
 
     /// The peer address this connection (re)connects to.
@@ -131,12 +169,6 @@ impl ClientConn {
         self.stream.set_read_timeout(Some(timeout))
     }
 
-    /// Override the connect timeout a stale reconnect dials with (e.g.
-    /// to bound it by a request deadline). Sticks until changed again.
-    pub fn set_connect_timeout(&mut self, timeout: Duration) {
-        self.config.connect_timeout = timeout;
-    }
-
     /// Response bytes already read off the socket but not yet returned.
     /// Non-zero right after a response completes means the peer sent
     /// more than that response: the connection is out of step with its
@@ -145,11 +177,25 @@ impl ClientConn {
         self.buf.len()
     }
 
+    /// Whether the next step of a poll-driven exchange waits for the
+    /// socket to be writable (the dial or the request write is still
+    /// under way) rather than readable.
+    pub fn wants_write(&self) -> bool {
+        self.dialing.is_some() || self.sent < self.pending.len()
+    }
+
+    /// While a poll-driven dial is in flight, when it gives up: a caller
+    /// waiting in `poll(2)` wakes by then and takes a
+    /// [`ClientConn::recv_with`] step, which fails with `TimedOut`.
+    pub fn connect_deadline(&self) -> Option<Instant> {
+        self.dialing
+    }
+
     /// Send raw bytes (for driving malformed input at the server).
     pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         self.pending.clear();
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        self.sent = 0;
+        self.stream.write_all(bytes)
     }
 
     /// Issue one request and read its response. `body` adds a
@@ -186,7 +232,10 @@ impl ClientConn {
 
     /// Write one request — head and body in a single write. Each
     /// `headers` entry is one `Name: value` pair; names must be
-    /// untrusted-input-free (they go on the wire verbatim).
+    /// untrusted-input-free (they go on the wire verbatim). A
+    /// poll-driven connection writes what its socket takes now (nothing
+    /// while the dial is in flight) and leaves the rest to
+    /// [`ClientConn::recv_with`].
     ///
     /// A write that fails the stale way (see [`ClientConn::request`])
     /// reconnects once and rewrites; the response half then gets no
@@ -211,41 +260,46 @@ impl ClientConn {
         self.pending.extend_from_slice(head.as_bytes());
         self.pending
             .extend_from_slice(body.map(str::as_bytes).unwrap_or_default());
-        match self.write_pending() {
+        self.sent = 0;
+        match self.flush() {
             Err(e) if self.stale(&e) => {
                 self.reconnect()?;
-                self.write_pending()
+                self.flush()
             }
             result => result,
         }
     }
 
-    /// One step of reading a response, for poll-driven callers: returns
-    /// a response already complete in the buffer, otherwise performs
-    /// exactly one `read(2)` and returns the response if that completed
-    /// it (`None`: call again when the socket is readable). A stale
-    /// failure before any response byte reconnects once and resends the
-    /// pending request, then reports `None` — the socket (and its raw
-    /// fd) is a new one.
+    /// One step of an exchange: returns a response already complete in
+    /// the buffer; otherwise moves the exchange on — a poll-driven
+    /// connection finishes its dial, then its request write, then reads
+    /// what the socket holds; a blocking one performs exactly one
+    /// `read(2)` — and returns the response if that completed it
+    /// (`None`: call again when the socket is ready). A stale failure
+    /// before any response byte reconnects once and resends the pending
+    /// request, then reports `None` — the socket (and its raw fd) is a
+    /// new one.
     pub fn recv_with(&mut self) -> std::io::Result<Option<HttpResponse>> {
         if let Some(response) = self.take_response()? {
             return Ok(Some(response));
         }
-        match self.read_chunk() {
+        match self.step() {
             Ok(()) => self.take_response(),
             Err(e) if !self.pending.is_empty() && self.stale(&e) => {
                 self.reconnect()?;
-                self.write_pending()?;
+                self.flush()?;
                 Ok(None)
             }
             Err(e) => Err(e),
         }
     }
 
-    /// Read one response (after [`ClientConn::send_raw`], or as the
-    /// second half of [`ClientConn::request`]): [`ClientConn::recv_with`]
-    /// until it completes, each read bounded by the read timeout.
+    /// Read one response on a blocking connection (after
+    /// [`ClientConn::send_raw`], or as the second half of
+    /// [`ClientConn::request`]): [`ClientConn::recv_with`] until it
+    /// completes, each read bounded by the read timeout.
     pub fn read_response(&mut self) -> std::io::Result<HttpResponse> {
+        debug_assert!(!self.poll_driven, "a poll-driven connection never blocks");
         loop {
             if let Some(response) = self.recv_with()? {
                 return Ok(response);
@@ -253,9 +307,77 @@ impl ClientConn {
         }
     }
 
-    fn write_pending(&mut self) -> std::io::Result<()> {
-        self.stream.write_all(&self.pending)?;
-        self.stream.flush()
+    /// Write what is left of the pending request: all of it on a
+    /// blocking connection; on a poll-driven one, whatever the socket
+    /// takes now, and nothing while the dial is in flight.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.dialing.is_some() {
+            return Ok(());
+        }
+        while self.sent < self.pending.len() {
+            match self.stream.write(&self.pending[self.sent..]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if self.poll_driven && e.kind() == std::io::ErrorKind::WouldBlock => {
+                    return Ok(())
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// The body of [`ClientConn::recv_with`]'s step: dial, then write,
+    /// then read.
+    fn step(&mut self) -> std::io::Result<()> {
+        if let Some(give_up) = self.dialing {
+            if !self.connected()? {
+                if Instant::now() >= give_up {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::TimedOut,
+                        "connect timed out",
+                    ));
+                }
+                return Ok(());
+            }
+            self.dialing = None;
+        }
+        self.flush()?;
+        if self.sent < self.pending.len() {
+            return Ok(());
+        }
+        let mut progressed = false;
+        loop {
+            match self.read_chunk() {
+                // A full chunk may have left more behind; anything less
+                // drained the socket.
+                Ok(n) if self.poll_driven && n == READ_CHUNK => progressed = true,
+                Ok(_) => return Ok(()),
+                // A failure after bytes arrived resurfaces on the next
+                // step, once the bytes already read have been parsed.
+                Err(e)
+                    if self.poll_driven
+                        && (progressed || e.kind() == std::io::ErrorKind::WouldBlock) =>
+                {
+                    return Ok(())
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Whether a poll-driven dial has completed; a failed one (refused,
+    /// unreachable) as its error.
+    fn connected(&self) -> std::io::Result<bool> {
+        if let Some(e) = self.stream.take_error()? {
+            return Err(e);
+        }
+        match self.stream.peer_addr() {
+            Ok(_) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::NotConnected => Ok(false),
+            Err(e) => Err(e),
+        }
     }
 
     /// Whether `e` is keep-alive decay worth one reconnect: this
@@ -265,18 +387,25 @@ impl ClientConn {
         self.served > 0 && self.buf.is_empty() && is_stale_error(e)
     }
 
-    /// Drop the stale socket and dial the same peer again.
+    /// Drop the stale socket and dial the same peer again — a
+    /// poll-driven connection without waiting for the handshake.
     fn reconnect(&mut self) -> std::io::Result<()> {
-        self.stream = open(&self.addr, &self.config)?;
+        if self.poll_driven {
+            self.stream = start_connect(&self.addr, self.config.connect_timeout)?;
+            self.dialing = Some(Instant::now() + self.config.connect_timeout);
+        } else {
+            self.stream = open(&self.addr, &self.config)?;
+        }
         self.buf.clear();
         self.served = 0;
+        self.sent = 0;
         Ok(())
     }
 
     /// One `read(2)` appended to the buffer; EOF is an error (a
     /// response is always pending when this is called).
-    fn read_chunk(&mut self) -> std::io::Result<()> {
-        let mut chunk = [0u8; 16 * 1024];
+    fn read_chunk(&mut self) -> std::io::Result<usize> {
+        let mut chunk = [0u8; READ_CHUNK];
         let n = self.stream.read(&mut chunk)?;
         if n == 0 {
             return Err(std::io::Error::new(
@@ -285,7 +414,7 @@ impl ClientConn {
             ));
         }
         self.buf.extend_from_slice(&chunk[..n]);
-        Ok(())
+        Ok(n)
     }
 
     /// Split one complete response off the front of the buffer, if the
@@ -325,6 +454,7 @@ impl ClientConn {
         self.buf.drain(..body_start + content_length);
         self.served += 1;
         self.pending.clear();
+        self.sent = 0;
         Ok(Some(HttpResponse {
             status,
             headers,
@@ -349,6 +479,134 @@ fn open(addr: &SocketAddr, config: &ClientConfig) -> std::io::Result<TcpStream> 
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(config.read_timeout))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
+    Ok(stream)
+}
+
+fn resolve<A: ToSocketAddrs>(addr: A) -> std::io::Result<SocketAddr> {
+    addr.to_socket_addrs()?.next().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "address resolved to nothing",
+        )
+    })
+}
+
+/// Begin a TCP connect without waiting for it, on a non-blocking socket
+/// with Nagle off: the handshake resolves in the background, and
+/// `poll(2)` reports the socket writable once it has (see
+/// [`ClientConn::connected`]). std has no such call, so the two
+/// syscalls are declared directly against the C ABI (no libc crate),
+/// with linux's socket address layouts and the flag and errno values
+/// its generic ABI gives these architectures.
+#[cfg(all(
+    target_os = "linux",
+    any(
+        target_arch = "x86_64",
+        target_arch = "aarch64",
+        target_arch = "riscv64"
+    )
+))]
+fn start_connect(addr: &SocketAddr, _timeout: Duration) -> std::io::Result<TcpStream> {
+    use std::os::unix::io::FromRawFd;
+
+    extern "C" {
+        fn socket(domain: i32, kind: i32, protocol: i32) -> i32;
+        fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
+    }
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+    const SOCK_STREAM: i32 = 1;
+    const SOCK_NONBLOCK: i32 = 0o4000;
+    const SOCK_CLOEXEC: i32 = 0o2_000_000;
+    const EINTR: i32 = 4;
+    const EINPROGRESS: i32 = 115;
+
+    /// `struct sockaddr_in`.
+    #[repr(C)]
+    struct SockaddrIn {
+        family: u16,
+        port: [u8; 2],
+        addr: [u8; 4],
+        zero: [u8; 8],
+    }
+    /// `struct sockaddr_in6`.
+    #[repr(C)]
+    struct SockaddrIn6 {
+        family: u16,
+        port: [u8; 2],
+        flowinfo: u32,
+        addr: [u8; 16],
+        scope_id: u32,
+    }
+
+    let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+    // SAFETY: a plain syscall on integer arguments.
+    let fd = unsafe {
+        socket(
+            i32::from(family),
+            SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+            0,
+        )
+    };
+    if fd < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    // SAFETY: `fd` is a fresh socket nothing else owns; the stream
+    // closes it on every path from here on.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    let rc = match addr {
+        SocketAddr::V4(a) => {
+            let raw = SockaddrIn {
+                family,
+                port: a.port().to_be_bytes(),
+                addr: a.ip().octets(),
+                zero: [0; 8],
+            };
+            let len = std::mem::size_of::<SockaddrIn>() as u32;
+            // SAFETY: `raw` is a live `sockaddr_in` of exactly `len`
+            // bytes for the duration of the call.
+            unsafe { connect(fd, (&raw as *const SockaddrIn).cast(), len) }
+        }
+        SocketAddr::V6(a) => {
+            let raw = SockaddrIn6 {
+                family,
+                port: a.port().to_be_bytes(),
+                flowinfo: a.flowinfo(),
+                addr: a.ip().octets(),
+                scope_id: a.scope_id(),
+            };
+            let len = std::mem::size_of::<SockaddrIn6>() as u32;
+            // SAFETY: `raw` is a live `sockaddr_in6` of exactly `len`
+            // bytes for the duration of the call.
+            unsafe { connect(fd, (&raw as *const SockaddrIn6).cast(), len) }
+        }
+    };
+    if rc < 0 {
+        let e = std::io::Error::last_os_error();
+        // Interrupted, a non-blocking connect carries on in the
+        // background just as an in-progress one does.
+        if !matches!(e.raw_os_error(), Some(EINPROGRESS | EINTR)) {
+            return Err(e);
+        }
+    }
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Elsewhere: a connect bounded by `timeout`, then non-blocking — the
+/// one step of a poll-driven connection that can wait.
+#[cfg(not(all(
+    target_os = "linux",
+    any(
+        target_arch = "x86_64",
+        target_arch = "aarch64",
+        target_arch = "riscv64"
+    )
+)))]
+fn start_connect(addr: &SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(addr, timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
     Ok(stream)
 }
 
@@ -448,6 +706,72 @@ mod tests {
         assert_eq!(conn.buffered(), 0);
         drop(conn);
         server.join().unwrap();
+    }
+
+    /// Step a poll-driven connection until its response completes,
+    /// yielding between steps instead of waiting in `poll(2)`.
+    fn drive(conn: &mut ClientConn) -> std::io::Result<HttpResponse> {
+        let start = std::time::Instant::now();
+        loop {
+            if let Some(response) = conn.recv_with()? {
+                return Ok(response);
+            }
+            assert!(start.elapsed() < Duration::from_secs(5), "no response");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_dialed_connection_never_blocks_and_redials_a_stale_socket_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (answer, wait) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut first, _) = listener.accept().unwrap();
+            assert!(read_request(&mut first));
+            wait.recv().unwrap();
+            first.write_all(RESPONSE).unwrap();
+            drop(first);
+            let (mut second, _) = listener.accept().unwrap();
+            assert!(read_request(&mut second));
+            second.write_all(RESPONSE).unwrap();
+            assert!(!read_request(&mut second));
+        });
+
+        let mut conn = ClientConn::dial(addr, ClientConfig::default()).unwrap();
+        assert!(conn.wants_write(), "the dial is in flight");
+        conn.send_with("GET", "/healthz", None, &[]).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..20 {
+            assert!(conn.recv_with().unwrap().is_none(), "not answered yet");
+        }
+        assert!(start.elapsed() < Duration::from_secs(1), "a step waited");
+        assert!(!conn.wants_write(), "dialed and sent: waiting to read");
+        answer.send(()).unwrap();
+        assert_eq!(drive(&mut conn).unwrap().status, 200);
+
+        // The server closed that socket; the next exchange redials
+        // (without blocking) and resends.
+        std::thread::sleep(Duration::from_millis(50));
+        conn.send_with("GET", "/healthz", None, &[]).unwrap();
+        assert_eq!(drive(&mut conn).unwrap().body_str(), "ok\n");
+        drop(conn);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_dial_to_a_closed_port_fails_as_a_step() {
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let err = ClientConn::dial(addr, ClientConfig::default())
+            .and_then(|mut conn| {
+                conn.send_with("GET", "/healthz", None, &[])?;
+                drive(&mut conn)
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 
     #[test]
