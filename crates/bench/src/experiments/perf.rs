@@ -525,13 +525,14 @@ pub fn server_throughput(scale: Scale) -> Report {
 /// Two contrasts, on the paper's binary and DNA alphabets:
 ///
 /// * **dispatch rows** — for k = 2 and k = 4, sequential `mss()` through
-///   a blocked-index engine with runtime SIMD dispatch active vs
-///   forced-scalar kernels
+///   a blocked-index engine, and `mss_in` over sixteen 4096-symbol
+///   windows of a flat-index n = 65,536 document (the `simd_mss_flat`
+///   rows), with runtime SIMD dispatch active vs forced-scalar kernels
 ///   (`sigstr_core::simd::set_force_scalar`, the same switch the
-///   `SIGSTR_FORCE_SCALAR` env override flips). The scalar mode is
-///   *exactly* the pre-SIMD code path — the `SIMD = false`
-///   monomorphization compiles the lookahead memo away — so the
-///   `speedup_vs_scalar` column is a true before/after contrast.
+///   `SIGSTR_FORCE_SCALAR` env override flips). The scalar mode runs the
+///   portable per-lane path of the same kernel — the `SIMD = false`
+///   monomorphization has no packed rounds — so the `speedup_vs_scalar`
+///   column isolates the vector tier, gathered resync included.
 /// * **loader rows** — time-to-first-answer from a cold engine:
 ///   `Engine::load_snapshot_mmap` (map the file, verify sections lazily
 ///   on first touch) vs `Engine::load_snapshot_path` (bulk reads +
@@ -572,7 +573,13 @@ pub fn simd_scan(scale: Scale) -> Report {
     let k = 2;
     let (seq, model) = input(k, n);
     let engine = Engine::with_layout(&seq, model, CountsLayout::Blocked).expect("engine");
-    dispatch_rows(&mut report, &engine, k, n, reps);
+    dispatch_rows(
+        &mut report,
+        &format!("simd_mss_k{k}_n{n}"),
+        &engine,
+        reps,
+        |e| e.mss().expect("mss"),
+    );
 
     // Loader contrast: cold engine + first answer, bulk read vs mmap.
     let dir = std::env::temp_dir().join(format!("sigstr-simd-bench-{}", std::process::id()));
@@ -622,13 +629,23 @@ pub fn simd_scan(scale: Scale) -> Report {
 
     let (seq4, model4) = input(4, n);
     let engine4 = Engine::with_layout(&seq4, model4, CountsLayout::Blocked).expect("engine");
-    dispatch_rows(&mut report, &engine4, 4, n, reps);
+    dispatch_rows(
+        &mut report,
+        &format!("simd_mss_k4_n{n}"),
+        &engine4,
+        reps,
+        |e| e.mss().expect("mss"),
+    );
+    for k in [2, 4] {
+        window_rows(&mut report, k, reps);
+    }
     simd::set_force_scalar(env_scalar);
 
     report.note(format!(
-        "k = 2 and 4, n = {n}, blocked index, sequential mss; dispatch rows toggle the \
-         runtime kernel selection on one engine per alphabet (scalar mode is the exact \
-         pre-SIMD code path); k = 2 loader rows time cold-engine load + a first mss_in answer over the leading \
+        "k = 2 and 4, n = {n}, blocked index, sequential mss; simd_mss_flat rows run \
+         mss_in over sixteen 4096-symbol windows of a flat n = 65536 document; dispatch \
+         rows toggle the runtime kernel selection on one engine per workload (scalar mode \
+         is the portable per-lane path); k = 2 loader rows time cold-engine load + a first mss_in answer over the leading \
          256 positions of a warm-page-cache snapshot (the mmap win is the skipped \
          allocation + bulk-copy passes; both loaders pay the integrity checks); \
          median of {reps} runs per cell; active dispatch: {}",
@@ -641,10 +658,16 @@ pub fn simd_scan(scale: Scale) -> Report {
     report
 }
 
-/// One `simd_scan` dispatch row pair: sequential `mss()` on `engine`
-/// under forced-scalar and then auto dispatch, answers asserted
-/// bit-identical.
-fn dispatch_rows(report: &mut Report, engine: &Engine, k: usize, n: usize, reps: usize) {
+/// One `simd_scan` dispatch row pair: `scan` on `engine` (result cache
+/// cleared per rep) under forced-scalar and then auto dispatch, answers
+/// asserted bit-identical.
+fn dispatch_rows<T: PartialEq + std::fmt::Debug>(
+    report: &mut Report,
+    workload: &str,
+    engine: &Engine,
+    reps: usize,
+    scan: impl Fn(&Engine) -> T,
+) {
     use sigstr_core::simd;
 
     let mut scalar_ms = 0.0;
@@ -656,15 +679,15 @@ fn dispatch_rows(report: &mut Report, engine: &Engine, k: usize, n: usize, reps:
         simd::set_force_scalar(force);
         let secs = median_secs(reps, || {
             engine.clear_cache();
-            engine.mss().expect("mss")
+            scan(engine)
         });
-        answers.push(engine.mss().expect("mss"));
+        answers.push(scan(engine));
         let ms = secs * 1e3;
         if force {
             scalar_ms = ms;
         }
         report.push_row(vec![
-            format!("simd_mss_k{k}_n{n}"),
+            workload.to_string(),
             mode,
             cell_f(ms, 3),
             cell_f(scalar_ms / ms, 2),
@@ -672,7 +695,36 @@ fn dispatch_rows(report: &mut Report, engine: &Engine, k: usize, n: usize, reps:
     }
     assert_eq!(
         answers[0], answers[1],
-        "simd_scan: scalar and SIMD kernels disagree at k = {k}, n = {n}"
+        "simd_scan: scalar and SIMD kernels disagree on {workload}"
+    );
+}
+
+/// The `simd_scan` flat-window row pair for alphabet `k`: `mss_in` over
+/// sixteen 4096-symbol windows of a flat-index n = 65,536 document — the
+/// cache-miss shape of the serving benchmark's `miss` workloads, where
+/// the scan resyncs from the flat table.
+fn window_rows(report: &mut Report, k: usize, reps: usize) {
+    const N: usize = 65_536;
+    const W: usize = 4096;
+    let (seq, model) = input(k, N);
+    let engine = Engine::with_layout(&seq, model, CountsLayout::Flat).expect("engine");
+    let windows: Vec<std::ops::Range<usize>> = (0..16)
+        .map(|i| {
+            let l = (i * 3_989) % (N - W);
+            l..l + W
+        })
+        .collect();
+    dispatch_rows(
+        report,
+        &format!("simd_mss_flat_w{W}_k{k}_n{N}"),
+        &engine,
+        reps,
+        |e| {
+            windows
+                .iter()
+                .map(|r| e.mss_in(r.clone()).expect("mss_in"))
+                .collect::<Vec<_>>()
+        },
     );
 }
 

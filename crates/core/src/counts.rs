@@ -146,6 +146,33 @@ pub trait CountSource {
     /// Bytes held by the count index itself (tables only — the shared
     /// symbol string is accounted separately).
     fn index_bytes(&self) -> usize;
+
+    /// The raw prefix rows, for layouts whose rows the scan kernel's
+    /// packed rounds can gather directly (`None` keeps every round on the
+    /// per-lane path, which answers identically).
+    #[doc(hidden)]
+    fn prefix_rows(&self) -> Option<PrefixRows<'_>> {
+        None
+    }
+}
+
+/// Borrowed raw prefix rows of a count index — what the specialized scan
+/// kernel's packed rounds gather from (see [`CountSource::prefix_rows`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum PrefixRows<'a> {
+    /// A column-major flat table: `table[i·k + c]` = occurrences of `c` in
+    /// `S[0..i)`.
+    Flat(&'a [u32]),
+    /// A two-level table with one-byte deltas (see [`BlockedCounts`]).
+    Blocked {
+        /// Column-major superblock absolutes, `k` per superblock.
+        supers: &'a [u32],
+        /// Row-per-position deltas, `k − 1` bytes per position.
+        deltas: &'a [u8],
+        /// `log2` of the superblock spacing.
+        block_shift: u32,
+    },
 }
 
 /// Which count-index layout to build.
@@ -285,6 +312,10 @@ impl CountSource for CountsIndex {
 
     fn index_bytes(&self) -> usize {
         index_delegate!(self, pc => pc.index_bytes())
+    }
+
+    fn prefix_rows(&self) -> Option<PrefixRows<'_>> {
+        index_delegate!(self, pc => pc.prefix_rows())
     }
 }
 
@@ -489,6 +520,11 @@ impl CountSource for PrefixCounts {
     #[inline]
     fn index_bytes(&self) -> usize {
         PrefixCounts::index_bytes(self)
+    }
+
+    #[inline]
+    fn prefix_rows(&self) -> Option<PrefixRows<'_>> {
+        Some(PrefixRows::Flat(&self.table))
     }
 }
 
@@ -908,6 +944,19 @@ impl CountSource for BlockedCounts {
     fn index_bytes(&self) -> usize {
         BlockedCounts::index_bytes(self)
     }
+
+    /// The `u8` tier only: the `u16` escape tier keeps the per-lane path.
+    #[inline]
+    fn prefix_rows(&self) -> Option<PrefixRows<'_>> {
+        match &self.deltas {
+            DeltaTier::U8(deltas) => Some(PrefixRows::Blocked {
+                supers: &self.supers,
+                deltas,
+                block_shift: self.block_shift,
+            }),
+            DeltaTier::U16(_) => None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1109,6 +1158,11 @@ impl CountSource for GrowableCounts {
     #[inline]
     fn index_bytes(&self) -> usize {
         GrowableCounts::index_bytes(self)
+    }
+
+    #[inline]
+    fn prefix_rows(&self) -> Option<PrefixRows<'_>> {
+        Some(PrefixRows::Flat(&self.table))
     }
 }
 

@@ -10,27 +10,36 @@
 //! # Kernel architecture (see `DESIGN.md`)
 //!
 //! The inner loop is *incremental* and *allocation-free*: the count vector
-//! of the current substring lives in registers / on the stack and is
-//! advanced by reading **one symbol** from the sequence when the skip is
-//! zero, falling back to an `O(k)` prefix-table diff only to resync after
-//! a jump. Scores always come from the canonical
-//! [`chi_square_counts_with_len`] accumulation, so every kernel reports
-//! bit-identical `X²` for the same substring regardless of scan path.
+//! of the current substring is never rebuilt from scratch. The sequential
+//! step advances it by reading **one symbol** when the skip is zero and
+//! resyncs it with an `O(k)` prefix-table diff after a jump; the packed
+//! round resyncs every lane as `T[end] − T[start]` from the prefix rows.
+//! Scores always come from the canonical [`chi_square_counts_with_len`]
+//! accumulation, so every kernel reports bit-identical `X²` for the same
+//! substring regardless of scan path.
 //!
 //! Three monomorphized kernels share the skeleton:
 //!
 //! | Kernel | Alphabet | Count storage |
 //! |---|---|---|
-//! | `scan_starts_fixed::<2>` | binary (stock up/down, win/loss) | `[u32; 2]` |
-//! | `scan_starts_fixed::<4>` | quaternary (DNA) | `[u32; 4]` |
+//! | `scan_starts_fixed::<2>` | binary (stock up/down, win/loss) | `[[u32; 12]; 2]` lane state |
+//! | `scan_starts_fixed::<4>` | quaternary (DNA) | `[[u32; 12]; 4]` lane state |
 //! | `scan_starts_dyn` | any `k ≤ 256` | one `Vec` per scan call |
+//!
+//! The specialized kernels keep twelve start positions in flight in one
+//! structure-of-arrays [`Lanes`] state for the whole scan. On AVX2 a
+//! round in which no lane reaches the budget runs packed: examine, skip
+//! commit and a gathered count resync for all twelve lanes in vector
+//! registers (`simd::lane_rounds`). A round in which some lane must
+//! observe, and the whole scalar tier, step the same state one lane at a
+//! time, so both tiers produce one candidate stream.
 //!
 //! All three kernels are generic over [`CountSource`], so each
 //! monomorphizes once for the flat `PrefixCounts` table and once for the
-//! two-level `BlockedCounts` table: with the blocked index the post-skip
-//! resync reads one byte-packed delta row per endpoint plus a superblock
-//! row that is almost always cache-resident, instead of a full `u32`
-//! column — the layout dispatch happens before the loop, never inside it.
+//! two-level `BlockedCounts` table: with the blocked index a resync reads
+//! one byte-packed delta row per endpoint plus a superblock row that is
+//! almost always cache-resident, instead of a full `u32` column — the
+//! layout dispatch happens before the loop, never inside it.
 //!
 //! [`scan_policy`] dispatches on `model.k()` at runtime. The pre-rewrite
 //! engine (per-substring `fill_counts` + full square-root skip solve) is
@@ -105,9 +114,9 @@ pub(crate) fn scan_policy<C: CountSource, P: Policy>(
     debug_assert!(min_len >= 1 && min_len <= window);
     debug_assert!(limit <= pc.n());
     // Dispatch once per scan call: `SIMD = true` threads the packed-root
-    // skip solver and the four-candidate survivor-mask lookahead through
-    // the specialized kernels. Both backends are bit-identical (see
-    // `simd`), so the branch only picks an instruction mix.
+    // skip solver and (on AVX2) the packed rounds through the specialized
+    // kernels. Both backends are bit-identical (see `simd`), so the branch
+    // only picks an instruction mix.
     let simd = crate::simd::active();
     match (model.k(), simd) {
         (2, true) => {
@@ -126,180 +135,8 @@ pub(crate) fn scan_policy<C: CountSource, P: Policy>(
     }
 }
 
-/// Number of candidate ends the SIMD lookahead pre-evaluates per batch.
-const LOOKAHEAD: usize = 4;
-
-/// One start position's in-flight scan state inside the specialized
-/// kernel.
-struct Lane<const K: usize> {
-    start: usize,
-    end: usize,
-    window_end: usize,
-    counts: [u32; K],
-    /// SIMD lookahead memo: how many upcoming candidate ends are
-    /// pre-confirmed to fail the budget pre-filter and admit no skip
-    /// (always 0 on the scalar path).
-    pending: u8,
-    /// Exact budget bits the pending verdicts were computed under; the
-    /// memo is discarded if the policy's budget has moved since, which
-    /// makes the batched stream provably identical to the unbatched one.
-    pending_budget: f64,
-}
-
-/// Pull the next start off the iterator and initialize its lane.
-#[inline]
-fn next_lane<const K: usize, C: CountSource>(
-    pc: &C,
-    min_len: usize,
-    window: usize,
-    limit: usize,
-    starts: &mut impl Iterator<Item = usize>,
-) -> Option<Lane<K>> {
-    for i in starts {
-        debug_assert!(i + min_len <= limit);
-        let window_end = limit.min(i.saturating_add(window));
-        let end = i + min_len;
-        if end > window_end {
-            continue;
-        }
-        let mut counts = [0u32; K];
-        pc.fill_counts(i, end, &mut counts);
-        return Some(Lane {
-            start: i,
-            end,
-            window_end,
-            counts,
-            pending: 0,
-            pending_budget: 0.0,
-        });
-    }
-    None
-}
-
-/// Advance one lane by one examined substring. Returns `false` when the
-/// lane's scan is finished.
-///
-/// On the SIMD path the step first consumes the lookahead memo: a
-/// candidate pre-confirmed (under the *current* budget bits — stale memos
-/// are discarded) to fail the budget pre-filter and admit no skip is
-/// committed with a one-symbol count bump and no floating-point work at
-/// all. The memo is exactly the verdict the scalar body below would reach
-/// for that candidate, so consuming it leaves the examined/observed/skip
-/// stream bit-identical to the unbatched scan.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn lane_step<const K: usize, const SIMD: bool, C: CountSource, P: Policy>(
-    lane: &mut Lane<K>,
-    pc: &C,
-    symbols: &[u8],
-    inv_p: &[f64; K],
-    tables: &SkipTables<'_>,
-    policy: &mut P,
-    stats: &mut ScanStats,
-) -> bool {
-    if SIMD && lane.pending > 0 {
-        if policy.budget().to_bits() == lane.pending_budget.to_bits() {
-            lane.pending -= 1;
-            stats.examined += 1;
-            lane.counts[symbols[lane.end] as usize] += 1;
-            lane.end += 1;
-            debug_assert!(lane.end <= lane.window_end);
-            return true;
-        }
-        lane.pending = 0;
-    }
-    let l = lane.end - lane.start;
-    let lf = l as f64;
-    // Weighted square sum Σ Y²/p in the canonical fixed order; the
-    // division that finishes the statistic is deferred behind the budget
-    // pre-filter below, so the common (pruned) case never divides.
-    let ws = weighted_square_sum(&lane.counts, inv_p);
-    stats.examined += 1;
-    let mut budget = policy.budget();
-    // Budget pre-filter: a substring with X² strictly below the budget
-    // cannot affect any policy (that is what makes skipping safe at all),
-    // so only candidates at or above it — with a generous margin for the
-    // product's rounding — pay the division and the observe call.
-    if ws >= (budget + lf) * lf * (1.0 - 1e-12) {
-        let x2 = chi_square_counts_with_len(&lane.counts, inv_p, lf);
-        policy.observe(Scored {
-            start: lane.start,
-            end: lane.end,
-            chi_square: x2,
-        });
-        budget = policy.budget();
-    }
-    let raw = skip_from_ws_fixed::<K, SIMD>(&lane.counts, lf, ws, budget, tables);
-    advance_lane::<K, SIMD, C>(lane, raw, pc, symbols, inv_p, tables, budget, stats)
-}
-
-/// Commit one solved skip to a lane: clamp to the window, record the skip
-/// stats, bump or resync the count vector, and (on the SIMD path) arm the
-/// lookahead memo on dense stretches. Shared verbatim by [`lane_step`] and
-/// the packed group round, so both entry points leave an identical stream. Returns
-/// `false` when the lane's scan is finished.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn advance_lane<const K: usize, const SIMD: bool, C: CountSource>(
-    lane: &mut Lane<K>,
-    raw: usize,
-    pc: &C,
-    symbols: &[u8],
-    inv_p: &[f64; K],
-    tables: &SkipTables<'_>,
-    budget: f64,
-    stats: &mut ScanStats,
-) -> bool {
-    let skip = raw.min(lane.window_end - lane.end);
-    if skip > 0 {
-        stats.skips += 1;
-        stats.skipped += skip as u64;
-    }
-    let next = lane.end + skip + 1;
-    if next > lane.window_end {
-        return false;
-    }
-    if skip == 0 {
-        // Zero skip: the scan advances by one — push the single symbol,
-        // O(1).
-        lane.counts[symbols[lane.end] as usize] += 1;
-    } else {
-        // Resync after a jump: one O(k) bulk diff over the skipped region
-        // (a single pair of adjacent table columns).
-        pc.accumulate_counts(lane.end, next, &mut lane.counts);
-    }
-    lane.end = next;
-    // Dense stretch (no skip possible, positive finite budget): evaluate
-    // the next four candidate ends in f64 lanes and memoize how many of
-    // them provably fail the pre-filter and admit no skip.
-    if SIMD
-        && skip == 0
-        && budget > 0.0
-        && budget.is_finite()
-        && lane.end + LOOKAHEAD <= lane.window_end
-    {
-        let next3 = [
-            symbols[lane.end],
-            symbols[lane.end + 1],
-            symbols[lane.end + 2],
-        ];
-        lane.pending = crate::simd::lookahead4::<K>(
-            &lane.counts,
-            &next3,
-            lane.end - lane.start,
-            budget,
-            tables.p,
-            inv_p,
-            tables.four_pa,
-            tables.half_inv_a,
-        ) as u8;
-        lane.pending_budget = budget;
-    }
-    true
-}
-
 /// Number of start positions scanned in interleaved *lanes* by the
-/// specialized kernel (shared with the packed group examine — see
+/// specialized kernel (shared with the packed rounds — see
 /// [`crate::simd::GROUP_LANES`]). The per-step dependency chain
 /// (count load → score → skip solve → next count load) is latency-bound,
 /// so running this many independent chains in one loop keeps the core's
@@ -308,22 +145,171 @@ fn advance_lane<const K: usize, const SIMD: bool, C: CountSource>(
 /// is independent of the interleave (the scoring order is total).
 const LANES: usize = crate::simd::GROUP_LANES;
 
+/// The specialized kernel's lane state, structure-of-arrays: slot `i`
+/// scans start `start[i]`, sits at end position `end[i]` with the count
+/// vector of `S[start..end)` in column `i` of `counts`, and finishes once
+/// its next end would pass `wend[i]` (the window end). `base` holds the
+/// prefix row `T[start]`, so a packed round resyncs every lane as
+/// `T[end] − T[start]`.
+///
+/// A finished or never-filled slot is parked with `end == wend`: the
+/// packed round then commits a zero skip for it, so dead slots need no
+/// masking beyond the pre-filter, the verification replay and the
+/// `examined` count.
+pub(crate) struct Lanes<const K: usize> {
+    pub(crate) start: [u32; LANES],
+    pub(crate) end: [u32; LANES],
+    pub(crate) wend: [u32; LANES],
+    pub(crate) counts: [[u32; LANES]; K],
+    pub(crate) base: [[u32; LANES]; K],
+    /// Bit `i` is set while slot `i` holds a live scan.
+    pub(crate) live: u32,
+}
+
+impl<const K: usize> Lanes<K> {
+    fn new() -> Self {
+        Self {
+            start: [0; LANES],
+            end: [0; LANES],
+            wend: [0; LANES],
+            counts: [[0; LANES]; K],
+            base: [[0; LANES]; K],
+            live: 0,
+        }
+    }
+
+    /// The first step of every round: each empty slot, in slot order,
+    /// pulls the next start whose first candidate fits its window.
+    /// Returns whether `starts` may still hold more.
+    fn refill<C: CountSource>(
+        &mut self,
+        pc: &C,
+        min_len: usize,
+        window: usize,
+        limit: usize,
+        starts: &mut impl Iterator<Item = usize>,
+    ) -> bool {
+        for slot in 0..LANES {
+            if self.live & (1 << slot) != 0 {
+                continue;
+            }
+            let Some((i, end, window_end)) = starts
+                .by_ref()
+                .map(|i| {
+                    debug_assert!(i + min_len <= limit);
+                    (i, i + min_len, limit.min(i.saturating_add(window)))
+                })
+                .find(|&(_, end, window_end)| end <= window_end)
+            else {
+                return false;
+            };
+            let mut counts = [0u32; K];
+            let mut base = [0u32; K];
+            pc.fill_counts(i, end, &mut counts);
+            pc.fill_counts(0, i, &mut base);
+            let pos = |p: usize| u32::try_from(p).expect("prefix counts are u32, so positions fit");
+            self.start[slot] = pos(i);
+            self.end[slot] = pos(end);
+            self.wend[slot] = pos(window_end);
+            for m in 0..K {
+                self.counts[m][slot] = counts[m];
+                self.base[m][slot] = base[m];
+            }
+            self.live |= 1 << slot;
+        }
+        true
+    }
+}
+
+/// One sequential round: step every live slot once, in slot order,
+/// observing whatever reaches the budget. Runs on the same lane state as
+/// the packed rounds, so both leave one candidate stream.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn sequential_round<const K: usize, const SIMD: bool, C: CountSource, P: Policy>(
+    lanes: &mut Lanes<K>,
+    pc: &C,
+    symbols: &[u8],
+    inv_p: &[f64; K],
+    tables: &SkipTables<'_>,
+    policy: &mut P,
+    stats: &mut ScanStats,
+) {
+    for i in 0..LANES {
+        if lanes.live & (1 << i) == 0 {
+            continue;
+        }
+        let mut counts: [u32; K] = std::array::from_fn(|m| lanes.counts[m][i]);
+        let (start, end) = (lanes.start[i] as usize, lanes.end[i] as usize);
+        let window_end = lanes.wend[i] as usize;
+        let lf = (end - start) as f64;
+        // Weighted square sum Σ Y²/p in the canonical fixed order; the
+        // division that finishes the statistic is deferred behind the
+        // budget pre-filter below, so the common (pruned) case never
+        // divides.
+        let ws = weighted_square_sum(&counts, inv_p);
+        stats.examined += 1;
+        let mut budget = policy.budget();
+        // Budget pre-filter: a substring with X² strictly below the budget
+        // cannot affect any policy (that is what makes skipping safe at
+        // all), so only candidates at or above it — with a generous margin
+        // for the product's rounding — pay the division and the observe
+        // call.
+        if ws >= (budget + lf) * lf * (1.0 - 1e-12) {
+            let x2 = chi_square_counts_with_len(&counts, inv_p, lf);
+            policy.observe(Scored {
+                start,
+                end,
+                chi_square: x2,
+            });
+            budget = policy.budget();
+        }
+        let skip =
+            skip_from_ws_fixed::<K, SIMD>(&counts, lf, ws, budget, tables).min(window_end - end);
+        if skip > 0 {
+            stats.skips += 1;
+            stats.skipped += skip as u64;
+        }
+        let next = end + skip + 1;
+        if next > window_end {
+            lanes.live &= !(1 << i);
+            lanes.end[i] = lanes.wend[i];
+            continue;
+        }
+        if skip == 0 {
+            // Zero skip: the scan advances by one — push the single
+            // symbol, O(1).
+            counts[symbols[end] as usize] += 1;
+        } else {
+            // Resync after a jump: one O(k) bulk diff over the skipped
+            // region (a single pair of adjacent table columns).
+            pc.accumulate_counts(end, next, &mut counts);
+        }
+        lanes.end[i] = next as u32;
+        for (row, &c) in lanes.counts.iter_mut().zip(&counts) {
+            row[i] = c;
+        }
+    }
+}
+
 /// Alphabet-specialized kernel: `K` is a compile-time constant, so the
 /// count vector and the model tables are fixed-size stack arrays and every
 /// per-character loop unrolls to a straight-line sequence.
 ///
-/// The canonical stream visits the [`LANES`] lane slots round-robin; an
-/// empty slot pulls the next start position right before its visit. Both
-/// dispatch modes implement exactly this order, so their candidate streams
-/// — and therefore every answer and every statistic — are identical.
+/// The canonical stream runs in rounds over the [`LANES`] slots of one
+/// structure-of-arrays [`Lanes`] state: each round first refills the empty
+/// slots in slot order, then steps every live slot once. A round in which
+/// no live lane reaches the budget pre-filter cannot move the budget, so
+/// its lanes are independent and any order gives the same stream.
 ///
-/// `SIMD` selects the vector backend for the skip-root solve, arms the
-/// lookahead memo (see [`lane_step`]), and — on AVX2, for both alphabets —
-/// dispatches whole rounds to the packed group examine whenever no lane
-/// holds a memo and none can observe (every lane failing the budget
-/// pre-filter pins the shared budget, making the round order-free). Both
-/// values of the flag produce bit-identical results, pinned by the
-/// `kernel_equivalence` suite.
+/// `SIMD` selects the vector backend for the skip-root solve, and — on
+/// AVX2, checked once per scan, for tables whose rows can be gathered —
+/// runs such rounds as packed rounds ([`crate::simd::lane_rounds`]): the
+/// examine, the skip commit and the count resync of all twelve lanes stay
+/// in vector registers, round after round, until a lane must observe (that
+/// round runs sequentially) or finishes (its slot is refilled). Both values
+/// of the flag produce bit-identical results, pinned by the
+/// `kernel_equivalence` and `golden_stream` suites.
 fn scan_starts_fixed<const K: usize, const SIMD: bool, C: CountSource, P: Policy>(
     pc: &C,
     model: &Model,
@@ -352,69 +338,41 @@ fn scan_starts_fixed<const K: usize, const SIMD: bool, C: CountSource, P: Policy
         half_inv_a: &half_inv_a,
         four_pa: &four_pa,
     };
+    // Every lane's rows then lie inside the index, which the packed
+    // rounds' unchecked gathers rely on.
+    assert!(limit <= pc.n(), "scan limit past the end of the index");
     let mut stats = ScanStats::default();
-    let mut starts = starts;
-    let mut lanes: [Option<Lane<K>>; LANES] = std::array::from_fn(|_| None);
-    // The packed group examine needs exact i32 → f64 count converts.
-    let group_ok = SIMD && crate::simd::group_available() && pc.n() < (1 << 31);
+    let mut starts = starts.fuse();
+    let mut lanes = Lanes::<K>::new();
+    // Packed rounds need AVX2, positions and counts that convert exactly
+    // from i32, and a table layout they can gather from.
+    let rows = if SIMD && crate::simd::group_available() && pc.n() < (1 << 31) {
+        pc.prefix_rows()
+    } else {
+        None
+    };
     loop {
-        // Refill phase: empty slots pull the next start, in slot order.
-        let mut any_live = false;
-        for slot in lanes.iter_mut() {
-            if slot.is_none() {
-                *slot = next_lane::<K, C>(pc, min_len, window, limit, &mut starts);
-            }
-            any_live |= slot.is_some();
-        }
-        if !any_live {
+        let more = lanes.refill(pc, min_len, window, limit, &mut starts);
+        if lanes.live == 0 {
             break;
         }
-        // Group fast path: every lane live with no lookahead memo, and —
-        // checked inside the packed examine — every lane failing the
-        // budget pre-filter. No lane observes, so the budget is pinned for
-        // the whole round and the packed round is bit-identical to the
-        // sequential one below.
-        if group_ok
-            && lanes
-                .iter()
-                .all(|slot| slot.as_ref().is_some_and(|l| l.pending == 0))
-        {
+        if let Some(rows) = rows {
             let budget = policy.budget();
             if budget > 0.0 && budget.is_finite() {
-                // Character-major counts: one row of lane counts per
-                // character, as the packed examine loads them.
-                let mut cnts = [[0u32; LANES]; K];
-                let mut lfs = [0.0f64; LANES];
-                for (i, slot) in lanes.iter().enumerate() {
-                    let l = slot.as_ref().unwrap();
-                    for (row, &c) in cnts.iter_mut().zip(&l.counts) {
-                        row[i] = c;
-                    }
-                    lfs[i] = (l.end - l.start) as f64;
-                }
-                if let Some(skips) = crate::simd::group_examine::<K>(&cnts, &lfs, budget, &tables) {
-                    stats.examined += LANES as u64;
-                    for (i, slot) in lanes.iter_mut().enumerate() {
-                        let l = slot.as_mut().unwrap();
-                        if !advance_lane::<K, SIMD, C>(
-                            l, skips[i], pc, symbols, &inv_p, &tables, budget, &mut stats,
-                        ) {
-                            *slot = None;
-                        }
-                    }
+                // SAFETY: `group_available` reports AVX2 only when the
+                // hardware has it; `rows` exist only for n < 2³¹; refill
+                // sets `start ≤ end ≤ wend ≤ limit ≤ n` (asserted above)
+                // and both round kinds keep `end ≤ wend`.
+                if unsafe {
+                    crate::simd::lane_rounds(&mut lanes, rows, budget, &tables, &mut stats, more)
+                } {
                     continue;
                 }
             }
         }
-        // Sequential round: step each live lane in slot order.
-        for slot in lanes.iter_mut() {
-            if let Some(l) = slot {
-                if !lane_step::<K, SIMD, C, P>(l, pc, symbols, &inv_p, &tables, policy, &mut stats)
-                {
-                    *slot = None;
-                }
-            }
-        }
+        sequential_round::<K, SIMD, C, P>(
+            &mut lanes, pc, symbols, &inv_p, &tables, policy, &mut stats,
+        );
     }
     stats
 }
@@ -455,7 +413,7 @@ fn scan_starts_dyn<C: CountSource, P: Policy>(
             let ws = weighted_square_sum(counts, inv_p);
             stats.examined += 1;
             let mut budget = policy.budget();
-            // Budget pre-filter — see `lane_step` for the argument.
+            // Budget pre-filter — see `sequential_round` for the argument.
             if ws >= (budget + lf) * lf * (1.0 - 1e-12) {
                 let x2 = chi_square_counts_with_len(counts, inv_p, lf);
                 policy.observe(Scored {
@@ -797,9 +755,9 @@ mod tests {
 
     /// The SIMD and scalar instantiations of the specialized kernels must
     /// produce the same best substring (positions included) *and* the
-    /// same scan stats — the lookahead memo is a pure memoization of the
-    /// scalar stream (broader k/layout/offset coverage lives in
-    /// `kernel_equivalence`).
+    /// same scan stats — the packed rounds only replace sequential rounds
+    /// that observe nothing (broader k/layout/offset coverage lives in
+    /// `kernel_equivalence`, the pinned stream in `golden_stream`).
     #[test]
     fn simd_and_scalar_fixed_kernels_are_bit_identical() {
         let symbols2: Vec<u8> = (0..800u32)

@@ -14,24 +14,17 @@
 //!   correctly-rounded vector `sqrt`/`mul`/`add`/`sub`, so each lane is
 //!   bit-identical to the scalar computation, and the root minimum is
 //!   folded in the exact scalar order.
-//! * **Survivor-mask pre-filter** — [`lookahead4`] evaluates the
-//!   deferred-division chi-square bound and the skip lower bound for four
-//!   candidate ends at once (one candidate per `f64` lane). Candidates
-//!   that provably fail the bound *and* admit no skip are pre-confirmed;
-//!   the scalar `lane_step` path consumes them with a one-symbol count
-//!   bump and scores the first survivor exactly. The pre-confirmation is
-//!   only consumed while the pruning budget is bit-unchanged, so the
-//!   candidate stream (scores, skips, stats) is provably identical to the
-//!   unbatched scalar scan.
-//! * **Group examine** — [`group_examine`] runs the pre-filter, skip-root
-//!   solve and first verification for all twelve interleaved scan lanes
-//!   of a `K = 2` or `K = 4` kernel at once, one lane per `f64` slot.
+//! * **Packed rounds** — [`lane_rounds`] runs whole rounds of the
+//!   specialized `K = 2` / `K = 4` kernels over their twelve interleaved
+//!   lanes, one lane per `f64` slot: pre-filter, skip-root solve and first
+//!   verification ([`examine`]), the skip commit, and a gathered
+//!   `T[end] − T[start]` count resync, without leaving vector registers.
 //!
 //! # Dispatch
 //!
 //! The level is detected once ([`is_x86_feature_detected!`]) and cached:
 //! `Sse2` is the `x86_64` baseline, `Avx2` upgrades the 8-wide integer
-//! kernels and enables the group examine, and every other architecture (or the
+//! kernels and enables the packed rounds, and every other architecture (or the
 //! [`SIGSTR_FORCE_SCALAR`](FORCE_SCALAR_ENV) override /
 //! [`set_force_scalar`]) runs the portable scalar fallbacks. Because every
 //! kernel is bit-exact, the dispatch never changes an answer — only the
@@ -451,21 +444,21 @@ pub(crate) fn roots_hi_fixed<const K: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// Group examine: all interleaved scan lanes solved in one packed pass.
+// Packed rounds: all interleaved scan lanes stepped in vector registers.
 // ---------------------------------------------------------------------------
 
 /// Number of interleaved scan lanes driven by the specialized kernels and
-/// by the packed group examine. The scalar and SIMD instantiations share
-/// this width, so the candidate stream — and therefore every answer and
-/// every statistic — is identical under both dispatch modes.
+/// by their packed rounds. The scalar and SIMD instantiations share this
+/// width, so the candidate stream — and therefore every answer and every
+/// statistic — is identical under both dispatch modes.
 ///
 /// Twelve lanes keep enough independent solve chains in flight to cover the
-/// `sqrt → floor → resync` latency of each one; the group examine puts one
+/// `sqrt → floor → resync` latency of each one; the packed rounds put one
 /// lane per `f64` slot, so the twelve fill three 4-wide vectors for any
 /// alphabet size.
 pub(crate) const GROUP_LANES: usize = 12;
 
-/// Whether the packed group examine ([`group_examine`]) is available at the
+/// Whether the packed rounds ([`lane_rounds`]) are available at the
 /// current dispatch level.
 #[inline]
 pub(crate) fn group_available() -> bool {
@@ -477,19 +470,248 @@ pub(crate) fn group_available() -> bool {
     false
 }
 
-/// Packed examine step for **all [`GROUP_LANES`] interleaved scan lanes**
-/// of a `K`-letter kernel (`K ∈ {2, 4}`): weighted square sums, budget
-/// pre-filter, skip-root solve and first verification pass, with one scan
-/// lane per `f64` slot (three 4-wide vectors) and the characters visited in
-/// index order. `counts[m][i]` is lane `i`'s count of character `m`.
+/// Four-lane `f64` vectors per group of [`GROUP_LANES`] lanes.
+#[cfg(target_arch = "x86_64")]
+const VECS: usize = GROUP_LANES / 4;
+
+/// Packed rounds of the specialized scan kernel for `K ∈ {2, 4}`, run on
+/// its structure-of-arrays lane state with the budget pinned at `budget`.
 ///
-/// Returns `None` when any lane passes the pre-filter — that lane must
-/// observe, which can move the budget between steps, so the caller replays
-/// the whole round sequentially (recomputing the same sums). Otherwise no
-/// lane observes, the budget is pinned for the round, and the returned
-/// skips are bit-identical to [`GROUP_LANES`] sequential scalar steps,
-/// because every slot runs the scalar op sequence of `lane_step` →
-/// [`crate::skip::skip_from_ws_fixed`] → `finish_below_budget`:
+/// Each round examines every lane ([`examine`]), clamps the skips to the
+/// window ends, commits them, accumulates `examined`, `skips` and
+/// `skipped`, and resyncs **every** lane (zero skips included) as
+/// `counts = T[end] − T[start]` with AVX2 gathers from `rows`. Rounds
+/// repeat until one of them has a live lane at or above the budget
+/// pre-filter — that round is left uncommitted and `false` returned, so
+/// the caller runs it sequentially — or, when `refill` is set, until a
+/// round finishes a lane (`true`: the caller refills the slot before the
+/// next round). With every lane finished it returns `true`.
+///
+/// Committed rounds leave the same stream as sequential ones: no lane
+/// observes, so the budget cannot move inside the round and each lane's
+/// step depends only on its own state; [`examine`] runs the scalar
+/// solver's op sequence per slot, and the integer resync is exact.
+///
+/// # Safety
+/// AVX2 must be available. `rows` must be the prefix rows of an index of
+/// `n < 2³¹` positions, and every lane must satisfy
+/// `start ≤ end ≤ wend ≤ n`, live or parked — the gathers read row `end`
+/// unchecked. `budget` must be positive and finite.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn lane_rounds<const K: usize>(
+    lanes: &mut crate::scan::Lanes<K>,
+    rows: crate::counts::PrefixRows<'_>,
+    budget: f64,
+    tables: &crate::skip::SkipTables<'_>,
+    stats: &mut crate::scan::ScanStats,
+    refill: bool,
+) -> bool {
+    debug_assert!(K == 2 || K == 4);
+    debug_assert!(budget.is_finite() && budget > 0.0);
+    let one = _mm_set1_epi32(1);
+    let mut examined = 0u64;
+    let mut skips = 0u64;
+    let mut skipped = _mm256_setzero_si256();
+    let committed = loop {
+        let live = lanes.live;
+        if live == 0 {
+            break true;
+        }
+        let mut lf = [_mm256_setzero_pd(); VECS];
+        for (j, l) in lf.iter_mut().enumerate() {
+            let s = _mm_loadu_si128(lanes.start.as_ptr().add(4 * j).cast());
+            let e = _mm_loadu_si128(lanes.end.as_ptr().add(4 * j).cast());
+            *l = _mm256_cvtepi32_pd(_mm_sub_epi32(e, s));
+        }
+        let Some((x, over)) = examine::<K>(&lanes.counts, &lf, budget, tables, live) else {
+            break false;
+        };
+        // Clamp each candidate to its window: skip = min(x, wend − end).
+        // Parked slots have wend = end, so they commit a zero skip.
+        let mut skip = [_mm_setzero_si128(); VECS];
+        let mut rem = [_mm_setzero_si128(); VECS];
+        for j in 0..VECS {
+            let e = _mm_loadu_si128(lanes.end.as_ptr().add(4 * j).cast());
+            let w = _mm_loadu_si128(lanes.wend.as_ptr().add(4 * j).cast());
+            rem[j] = _mm_sub_epi32(w, e);
+            skip[j] = _mm256_cvttpd_epi32(_mm256_min_pd(x[j], _mm256_cvtepi32_pd(rem[j])));
+        }
+        if over != 0 {
+            // A failed first verification: replay that lane's whole solve
+            // through the scalar solver (rare).
+            let mut s = [0u32; GROUP_LANES];
+            for (j, v) in skip.iter().enumerate() {
+                _mm_storeu_si128(s.as_mut_ptr().add(4 * j).cast(), *v);
+            }
+            for i in (0..GROUP_LANES).filter(|&i| over & (1 << i) != 0) {
+                let counts: [u32; K] = std::array::from_fn(|m| lanes.counts[m][i]);
+                let lf = f64::from(lanes.end[i] - lanes.start[i]);
+                let ws = crate::score::weighted_square_sum(&counts, tables.inv_p);
+                let raw = crate::skip::skip_from_ws(&counts, lf, ws, budget, tables);
+                s[i] = raw.min((lanes.wend[i] - lanes.end[i]) as usize) as u32;
+            }
+            for (j, v) in skip.iter_mut().enumerate() {
+                *v = _mm_loadu_si128(s.as_ptr().add(4 * j).cast());
+            }
+        }
+        let mut done = 0u32;
+        for j in 0..VECS {
+            let fin = _mm_cmpeq_epi32(skip[j], rem[j]);
+            done |= (_mm_movemask_ps(_mm_castsi128_ps(fin)) as u32) << (4 * j);
+            let moved = _mm_cmpgt_epi32(skip[j], _mm_setzero_si128());
+            skips += u64::from(_mm_movemask_ps(_mm_castsi128_ps(moved)).count_ones());
+            skipped = _mm256_add_epi64(skipped, _mm256_cvtepu32_epi64(skip[j]));
+            // Step past the skip; a finished lane parks at its window end
+            // (`fin` is −1 there, cancelling the + 1).
+            let e = _mm_loadu_si128(lanes.end.as_ptr().add(4 * j).cast());
+            let next = _mm_add_epi32(_mm_add_epi32(e, skip[j]), _mm_add_epi32(one, fin));
+            _mm_storeu_si128(lanes.end.as_mut_ptr().add(4 * j).cast(), next);
+            let row = gather_rows::<K>(rows, next);
+            for ((r, base), counts) in row.iter().zip(&lanes.base).zip(&mut lanes.counts) {
+                let base = _mm_loadu_si128(base.as_ptr().add(4 * j).cast());
+                _mm_storeu_si128(
+                    counts.as_mut_ptr().add(4 * j).cast(),
+                    _mm_sub_epi32(*r, base),
+                );
+            }
+        }
+        examined += u64::from(live.count_ones());
+        let finished = done & live;
+        lanes.live = live & !finished;
+        if finished != 0 && refill {
+            break true;
+        }
+    };
+    let mut sums = [0u64; 4];
+    _mm256_storeu_si256(sums.as_mut_ptr().cast(), skipped);
+    stats.examined += examined;
+    stats.skips += skips;
+    stats.skipped += sums.iter().sum::<u64>();
+    committed
+}
+
+/// Non-`x86_64` stub — never called ([`group_available`] is `false`).
+///
+/// # Safety
+/// Never callable: it only exists so the kernel compiles everywhere.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe fn lane_rounds<const K: usize>(
+    _lanes: &mut crate::scan::Lanes<K>,
+    _rows: crate::counts::PrefixRows<'_>,
+    _budget: f64,
+    _tables: &crate::skip::SkipTables<'_>,
+    _stats: &mut crate::scan::ScanStats,
+    _refill: bool,
+) -> bool {
+    unreachable!("lane_rounds is only dispatched when group_available()")
+}
+
+/// The prefix rows `T[pos]` of four lanes, one vector per character.
+///
+/// # Safety
+/// AVX2 must be available, and every lane of `pos` must lie in `0..=n`
+/// for the index `rows` belongs to.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn gather_rows<const K: usize>(
+    rows: crate::counts::PrefixRows<'_>,
+    pos: __m128i,
+) -> [__m128i; K] {
+    use crate::counts::PrefixRows;
+    let mut row = [_mm_setzero_si128(); K];
+    let log2_k = _mm_cvtsi32_si128(K.trailing_zeros() as i32);
+    match rows {
+        PrefixRows::Flat(table) => {
+            // Column-major: T[pos][m] at pos·K + m, one dword gather per
+            // character (64-bit indices: pos·K may pass 2³¹).
+            let idx = _mm256_sll_epi64(_mm256_cvtepi32_epi64(pos), log2_k);
+            let ptr = table.as_ptr().cast::<i32>();
+            for (m, r) in row.iter_mut().enumerate() {
+                *r = _mm256_i64gather_epi32::<4>(ptr.add(m), idx);
+            }
+        }
+        PrefixRows::Blocked {
+            supers,
+            deltas,
+            block_shift,
+        } => {
+            // Superblock absolutes: supers[(pos >> shift)·K + m].
+            let shift = _mm_cvtsi32_si128(block_shift as i32);
+            let sb = _mm_srl_epi32(pos, shift);
+            let idx = _mm256_sll_epi64(_mm256_cvtepi32_epi64(sb), log2_k);
+            let ptr = supers.as_ptr().cast::<i32>();
+            for (m, r) in row.iter_mut().enumerate() {
+                *r = _mm256_i64gather_epi32::<4>(ptr.add(m), idx);
+            }
+            // The K − 1 delta bytes of each row, read as one dword at
+            // byte pos·(K − 1). A row too close to the table's end for a
+            // 4-byte read (only rows at the last few positions) is
+            // masked out of the gather and assembled bytewise.
+            let stored = K - 1;
+            let last_full = if deltas.len() < 4 {
+                -1
+            } else {
+                ((deltas.len() - 4) / stored).min(i32::MAX as usize) as i32
+            };
+            let tail = _mm_cmpgt_epi32(pos, _mm_set1_epi32(last_full));
+            let byte_idx = _mm256_mul_epu32(
+                _mm256_cvtepi32_epi64(pos),
+                _mm256_set1_epi64x(stored as i64),
+            );
+            let mut dw = _mm256_mask_i64gather_epi32::<1>(
+                _mm_setzero_si128(),
+                deltas.as_ptr().cast::<i32>(),
+                byte_idx,
+                _mm_xor_si128(tail, _mm_set1_epi32(-1)),
+            );
+            let tail_bits = _mm_movemask_ps(_mm_castsi128_ps(tail));
+            if tail_bits != 0 {
+                let mut words = [0u32; 4];
+                let mut at = [0u32; 4];
+                _mm_storeu_si128(words.as_mut_ptr().cast(), dw);
+                _mm_storeu_si128(at.as_mut_ptr().cast(), pos);
+                for lane in (0..4).filter(|&lane| tail_bits & (1 << lane) != 0) {
+                    let row_at = at[lane] as usize * stored;
+                    words[lane] = deltas[row_at..row_at + stored]
+                        .iter()
+                        .rev()
+                        .fold(0, |w, &d| (w << 8) | u32::from(d));
+                }
+                dw = _mm_loadu_si128(words.as_ptr().cast());
+            }
+            // Stored columns add their byte; the last column is derived
+            // from the in-block offset minus the stored deltas.
+            let byte = _mm_set1_epi32(0xff);
+            let mut sum = _mm_setzero_si128();
+            for (m, r) in row.iter_mut().take(stored).enumerate() {
+                let d = _mm_and_si128(_mm_srl_epi32(dw, _mm_cvtsi32_si128(8 * m as i32)), byte);
+                sum = _mm_add_epi32(sum, d);
+                *r = _mm_add_epi32(*r, d);
+            }
+            let offset = _mm_and_si128(pos, _mm_set1_epi32((1i32 << block_shift) - 1));
+            row[stored] = _mm_add_epi32(row[stored], _mm_sub_epi32(offset, sum));
+        }
+    }
+    row
+}
+
+/// Packed examine step for **all [`GROUP_LANES`] lanes** of a `K`-letter
+/// kernel (`K ∈ {2, 4}`): weighted square sums, budget pre-filter,
+/// skip-root solve and first verification pass, with one scan lane per
+/// `f64` slot (three 4-wide vectors) and the characters visited in index
+/// order. `counts[m][i]` is lane `i`'s count of character `m`, `lf` its
+/// length; only lanes in the `live` bitmask count for the pre-filter.
+///
+/// Returns `None` when a live lane passes the pre-filter — that lane must
+/// observe, which can move the budget between steps. Otherwise no lane
+/// observes and it returns, per lane, the candidate skip `x` (`⌊hi⌋`, or
+/// 0 when no root reaches 1) and the bitmask of live lanes whose first
+/// verification failed, which the caller replays through the scalar
+/// solver. Every other lane's `x` is bit-identical to the scalar
+/// [`crate::skip::skip_from_ws_fixed`] result, because every slot runs
+/// its op sequence (`finish_below_budget` → `verify_candidate`):
 ///
 /// * counts convert exactly (`vcvtdq2pd`; the caller guarantees they fit
 ///   in an `i32`) and `ws` folds the `(y·y)·p⁻¹` terms in index order —
@@ -501,67 +723,31 @@ pub(crate) fn group_available() -> bool {
 /// * `b = 2Y − p·t`, the discriminant, square root and upper root are
 ///   correctly rounded per slot, the root minimum is folded in index
 ///   order, and `⌊hi⌋` plus the first verification pass
-///   `((1−p)·x + b)·x + p·u ≤ tol` match the scalar solver; the rare
-///   verification backoff is replayed by the scalar
-///   [`crate::skip::verify_candidate`].
-///
-/// Only called when [`group_available`] (AVX2); the caller guarantees
-/// `budget > 0`, finite, counts `< 2³¹`, and `K`-element table slices.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn group_examine<const K: usize>(
-    counts: &[[u32; GROUP_LANES]; K],
-    lfs: &[f64; GROUP_LANES],
-    budget: f64,
-    tables: &crate::skip::SkipTables<'_>,
-) -> Option<[usize; GROUP_LANES]> {
-    // The hardware check, not `group_available`: a concurrent
-    // `set_force_scalar` may flip the dispatch level mid-scan.
-    assert!(
-        is_x86_feature_detected!("avx2"),
-        "group_examine requires AVX2"
-    );
-    debug_assert!(budget.is_finite() && budget > 0.0);
-    // SAFETY: AVX2 presence asserted above.
-    unsafe { group_examine_avx2::<K>(counts, lfs, budget, tables) }
-}
-
-/// Non-`x86_64` stub — never called ([`group_available`] is `false`).
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn group_examine<const K: usize>(
-    _counts: &[[u32; GROUP_LANES]; K],
-    _lfs: &[f64; GROUP_LANES],
-    _budget: f64,
-    _tables: &crate::skip::SkipTables<'_>,
-) -> Option<[usize; GROUP_LANES]> {
-    unreachable!("group_examine is only dispatched when group_available()")
-}
-
-/// # Safety
-/// AVX2 must be available.
+///   `((1−p)·x + b)·x + p·u ≤ tol` match the scalar solver.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn group_examine_avx2<const K: usize>(
+#[inline]
+fn examine<const K: usize>(
     counts: &[[u32; GROUP_LANES]; K],
-    lfs: &[f64; GROUP_LANES],
+    lf: &[__m256d; VECS],
     budget: f64,
     tables: &crate::skip::SkipTables<'_>,
-) -> Option<[usize; GROUP_LANES]> {
-    const VECS: usize = GROUP_LANES / 4;
+    live: u32,
+) -> Option<([__m256d; VECS], u32)> {
     let (p, inv_p, four_pa) = (tables.p, tables.inv_p, tables.four_pa);
     let (half_inv_a, one_minus) = (tables.half_inv_a, tables.one_minus);
     let bud = _mm256_set1_pd(budget);
     let margin = _mm256_set1_pd(1.0 - 1e-12);
     let mut y = [[_mm256_setzero_pd(); VECS]; K];
-    let mut lf = [_mm256_setzero_pd(); VECS];
     let mut ws = [_mm256_setzero_pd(); VECS];
     let mut prod = [_mm256_setzero_pd(); VECS];
-    let mut pre_mask = 0i32;
+    let mut pre_mask = 0u32;
     for j in 0..VECS {
-        lf[j] = _mm256_loadu_pd(lfs.as_ptr().add(4 * j));
         for m in 0..K {
             // Four lanes' counts of character m: one load, one exact
             // i32 → f64 convert (counts < 2³¹ per the contract).
-            let raw = _mm_loadu_si128(counts[m].as_ptr().add(4 * j).cast());
+            // SAFETY: `4·j + 4 ≤ GROUP_LANES`, an in-bounds unaligned load.
+            let raw = unsafe { _mm_loadu_si128(counts[m].as_ptr().add(4 * j).cast()) };
             y[m][j] = _mm256_cvtepi32_pd(raw);
             let sq = _mm256_mul_pd(_mm256_mul_pd(y[m][j], y[m][j]), _mm256_set1_pd(inv_p[m]));
             ws[j] = if m == 0 { sq } else { _mm256_add_pd(ws[j], sq) };
@@ -569,9 +755,10 @@ unsafe fn group_examine_avx2<const K: usize>(
         // Pre-filter ws ≥ (budget + lf)·lf·(1 − 1e-12).
         prod[j] = _mm256_mul_pd(_mm256_add_pd(bud, lf[j]), lf[j]);
         let pre = _mm256_mul_pd(prod[j], margin);
-        pre_mask |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(ws[j], pre));
+        let hit = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(ws[j], pre)) as u32;
+        pre_mask |= hit << (4 * j);
     }
-    if pre_mask != 0 {
+    if pre_mask & live != 0 {
         return None;
     }
     // No lane observes: u = ws − (lf + budget)·lf < 0, t = 2lf + budget,
@@ -579,12 +766,8 @@ unsafe fn group_examine_avx2<const K: usize>(
     let two = _mm256_set1_pd(2.0);
     let one = _mm256_set1_pd(1.0);
     let tol_scale = _mm256_set1_pd(1e-9);
-    let mut xs = [0.0f64; GROUP_LANES];
-    let mut ts = [0.0f64; GROUP_LANES];
-    let mut us = [0.0f64; GROUP_LANES];
-    let mut tols = [0.0f64; GROUP_LANES];
-    let mut lt_one = 0i32;
-    let mut over = 0i32;
+    let mut xs = [_mm256_setzero_pd(); VECS];
+    let mut over = 0u32;
     for j in 0..VECS {
         let u = _mm256_sub_pd(ws[j], prod[j]);
         let t = _mm256_add_pd(_mm256_mul_pd(two, lf[j]), bud);
@@ -606,10 +789,12 @@ unsafe fn group_examine_avx2<const K: usize>(
             );
             hi = if m == 0 { r } else { _mm256_min_pd(hi, r) };
         }
-        lt_one |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(hi, one)) << (4 * j);
-        // First verification candidate x = ⌊hi⌋ (≥ 1 whenever hi ≥ 1):
-        // q = ((1−p)·x + b)·x + p·u must stay ≤ tol for every character.
+        // No root ≥ 1 ⇒ no skip; otherwise the first verification
+        // candidate x = ⌊hi⌋ ≥ 1: q = ((1−p)·x + b)·x + p·u must stay
+        // ≤ tol for every character.
+        let lt_one = _mm256_cmp_pd::<_CMP_LT_OQ>(hi, one);
         let x = _mm256_round_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(hi);
+        let mut bad = _mm256_setzero_pd();
         for m in 0..K {
             let q = _mm256_add_pd(
                 _mm256_mul_pd(
@@ -618,121 +803,12 @@ unsafe fn group_examine_avx2<const K: usize>(
                 ),
                 _mm256_mul_pd(_mm256_set1_pd(p[m]), u),
             );
-            over |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(q, tol)) << (4 * j);
+            bad = _mm256_or_pd(bad, _mm256_cmp_pd::<_CMP_GT_OQ>(q, tol));
         }
-        _mm256_storeu_pd(xs.as_mut_ptr().add(4 * j), x);
-        _mm256_storeu_pd(ts.as_mut_ptr().add(4 * j), t);
-        _mm256_storeu_pd(us.as_mut_ptr().add(4 * j), u);
-        _mm256_storeu_pd(tols.as_mut_ptr().add(4 * j), tol);
+        over |= (_mm256_movemask_pd(_mm256_andnot_pd(lt_one, bad)) as u32) << (4 * j);
+        xs[j] = _mm256_andnot_pd(lt_one, x);
     }
-    // Commit each lane: no root ≥ 1 ⇒ no skip; packed verification clean ⇒
-    // the floored root is the skip; otherwise replay the scalar
-    // verification (identical first candidate, then the backoff).
-    Some(std::array::from_fn(|i| {
-        if lt_one & (1 << i) != 0 {
-            0
-        } else if over & (1 << i) == 0 {
-            xs[i] as usize
-        } else {
-            let lane: [u32; K] = std::array::from_fn(|m| counts[m][i]);
-            crate::skip::verify_candidate(&lane, ts[i], us[i], tables, xs[i], 0.0, tols[i])
-        }
-    }))
-}
-
-// ---------------------------------------------------------------------------
-// Survivor-mask lookahead: four candidate ends per evaluation.
-// ---------------------------------------------------------------------------
-
-/// Evaluate the budget pre-filter and the skip bound for the **next four
-/// candidate ends** of one scan lane, one candidate per `f64` lane.
-///
-/// Candidate `j ∈ 0..4` is the substring `[start, end₀ + j)` where `base`
-/// is the count vector of `[start, end₀)`, `l0 = end₀ − start`, and
-/// `next = [S[end₀], S[end₀+1], S[end₀+2]]` supplies the incremental
-/// histogram. Returns the number of *leading* candidates that provably
-///
-/// 1. fail the deferred-division budget pre-filter
-///    (`ws < (budget + l)·l·(1 − 1e-12)` — computed with the exact scalar
-///    op sequence, so the verdict matches `lane_step` bit-for-bit), and
-/// 2. admit no skip (`min_m r2_m < 1.0`, which short-circuits the scalar
-///    solver to 0 before any verification).
-///
-/// Such candidates are exactly the ones the scalar path would examine
-/// without observing and advance past with a single-symbol count bump —
-/// the caller replays that bump per candidate and re-scores the first
-/// survivor exactly. The caller guarantees `budget > 0` and finite (the
-/// bound-fail ⟹ `u < 0` argument needs it).
-#[allow(clippy::needless_range_loop)] // multi-array lockstep indexing
-#[allow(clippy::too_many_arguments)] // the solver's cached model tables, passed apart
-pub(crate) fn lookahead4<const K: usize>(
-    base: &[u32; K],
-    next: &[u8; 3],
-    l0: usize,
-    budget: f64,
-    p: &[f64],
-    inv_p: &[f64],
-    four_pa: &[f64],
-    half_inv_a: &[f64],
-) -> u32 {
-    debug_assert!(budget.is_finite() && budget > 0.0);
-    // Per-candidate count lanes: y[m][j] = count of character m in
-    // candidate j (base plus the incremental histogram of `next[..j]`).
-    let mut y = [[0.0f64; 4]; K];
-    let mut running = *base;
-    for j in 0..4 {
-        for m in 0..K {
-            y[m][j] = f64::from(running[m]);
-        }
-        if j < 3 {
-            running[next[j] as usize] += 1;
-        }
-    }
-    let lf = [l0 as f64, (l0 + 1) as f64, (l0 + 2) as f64, (l0 + 3) as f64];
-    // ws_j = Σ_m y²·inv_p in the canonical index-ascending order.
-    let mut ws = [0.0f64; 4];
-    for m in 0..K {
-        for j in 0..4 {
-            ws[j] += y[m][j] * y[m][j] * inv_p[m];
-        }
-    }
-    // Budget pre-filter and the solver's per-call scalars, with the exact
-    // scalar op sequence per lane.
-    let mut survives = [false; 4];
-    let mut u = [0.0f64; 4];
-    let mut t = [0.0f64; 4];
-    for j in 0..4 {
-        survives[j] = ws[j] >= (budget + lf[j]) * lf[j] * (1.0 - 1e-12);
-        u[j] = ws[j] - (lf[j] + budget) * lf[j];
-        t[j] = 2.0 * lf[j] + budget;
-    }
-    // hi_j = min_m r2_m, folded per lane in index-ascending order. Lanes
-    // that pass the pre-filter may have u > 0 and a negative discriminant
-    // (NaN root); those lanes are excluded by `survives` regardless.
-    let mut hi = [f64::INFINITY; 4];
-    for m in 0..K {
-        let mut disc = [0.0f64; 4];
-        let mut b = [0.0f64; 4];
-        for j in 0..4 {
-            b[j] = 2.0 * y[m][j] - p[m] * t[j];
-            disc[j] = b[j] * b[j] - four_pa[m] * u[j];
-        }
-        let sq = sqrt4(disc);
-        for j in 0..4 {
-            hi[j] = hi[j].min((sq[j] - b[j]) * half_inv_a[m]);
-        }
-    }
-    let mut confirmed = 0u32;
-    for j in 0..4 {
-        // `!(hi < 1.0)` deliberately: a NaN root (negative discriminant)
-        // must stop the confirmation run exactly like `hi >= 1.0` does.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if survives[j] || !(hi[j] < 1.0) {
-            break;
-        }
-        confirmed += 1;
-    }
-    confirmed
+    Some((xs, over & live))
 }
 
 #[cfg(test)]
@@ -836,7 +912,51 @@ mod tests {
         }
     }
 
-    /// `group_examine::<K>` against `K` sequential scalar solves
+    /// One packed [`examine`] of all twelve lanes resolved to per-lane
+    /// skips the way [`lane_rounds`] commits them (before the window
+    /// clamp): the candidate `x`, or the scalar solver's answer for a lane
+    /// whose first verification failed. `None` when a lane must observe.
+    #[cfg(target_arch = "x86_64")]
+    fn group_examine<const K: usize>(
+        counts: &[[u32; GROUP_LANES]; K],
+        lfs: &[f64; GROUP_LANES],
+        budget: f64,
+        tables: &crate::skip::SkipTables<'_>,
+    ) -> Option<[usize; GROUP_LANES]> {
+        #[target_feature(enable = "avx2")]
+        fn run<const K: usize>(
+            counts: &[[u32; GROUP_LANES]; K],
+            lfs: &[f64; GROUP_LANES],
+            budget: f64,
+            tables: &crate::skip::SkipTables<'_>,
+        ) -> Option<[usize; GROUP_LANES]> {
+            let mut lf = [_mm256_setzero_pd(); VECS];
+            for (j, v) in lf.iter_mut().enumerate() {
+                // SAFETY: `4·j + 4 ≤ GROUP_LANES`.
+                *v = unsafe { _mm256_loadu_pd(lfs.as_ptr().add(4 * j)) };
+            }
+            let (x, over) = examine::<K>(counts, &lf, budget, tables, (1 << GROUP_LANES) - 1)?;
+            let mut xs = [0.0f64; GROUP_LANES];
+            for (j, v) in x.iter().enumerate() {
+                // SAFETY: `4·j + 4 ≤ GROUP_LANES`.
+                unsafe { _mm256_storeu_pd(xs.as_mut_ptr().add(4 * j), *v) };
+            }
+            Some(std::array::from_fn(|i| {
+                if over & (1 << i) == 0 {
+                    xs[i] as usize
+                } else {
+                    let lane: [u32; K] = std::array::from_fn(|m| counts[m][i]);
+                    let ws = crate::score::weighted_square_sum(&lane, tables.inv_p);
+                    crate::skip::skip_from_ws(&lane, lfs[i], ws, budget, tables)
+                }
+            }))
+        }
+        assert!(is_x86_feature_detected!("avx2"));
+        // SAFETY: AVX2 presence asserted above.
+        unsafe { run::<K>(counts, lfs, budget, tables) }
+    }
+
+    /// The packed examine against `K` sequential scalar solves
     /// (`skip_from_ws_fixed::<K, false>`), lane by lane, over random
     /// counts, lengths, positive budgets and skewed models. Counts how
     /// often each branch ran — a pre-filter pass (`None`), `hi < 1`, a
@@ -960,6 +1080,61 @@ mod tests {
         }
         check_group_examine::<2>(0x6E0B_A2E1);
         check_group_examine::<4>(0x6E0B_A4E1);
+    }
+
+    /// `gather_rows` against the scalar prefix lookup at every position
+    /// of short strings, in both gatherable layouts: the flat table, and
+    /// blocked tables whose tiny superblocks put many in-block offsets and
+    /// superblock crossings in range. Strings as short as one symbol put
+    /// every row in the bytewise tail path.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gathered_rows_match_prefix_lookups() {
+        use crate::counts::{BlockedCounts, CountSource, PrefixCounts};
+        use crate::seq::Sequence;
+
+        fn check<const K: usize>(pc: &impl CountSource, label: &str) {
+            let rows = pc.prefix_rows().expect("gatherable layout");
+            let n = pc.n() as i32;
+            for first in (0..=n).step_by(3) {
+                let pos = [first, (first + 1).min(n), n - first % 2, (first / 2).min(n)];
+                // SAFETY: AVX2 checked by the caller; positions in 0..=n.
+                let got = unsafe { gather_rows::<K>(rows, _mm_loadu_si128(pos.as_ptr().cast())) };
+                for (m, v) in got.iter().enumerate() {
+                    let mut lanes = [0u32; 4];
+                    // SAFETY: four u32 lanes into a four-element array.
+                    unsafe { _mm_storeu_si128(lanes.as_mut_ptr().cast(), *v) };
+                    for (lane, &at) in pos.iter().enumerate() {
+                        let want = pc.count(m, 0, at as usize);
+                        assert_eq!(lanes[lane], want, "{label}: T[{at}][{m}]");
+                    }
+                }
+            }
+        }
+
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for n in [1usize, 2, 3, 4, 5, 9, 64, 301] {
+            for k in [2usize, 4] {
+                let symbols: Vec<u8> = (0..n).map(|i| ((i * 7 + i / 3) % k) as u8).collect();
+                let seq = Sequence::from_symbols(symbols, k).unwrap();
+                let flat = PrefixCounts::build(&seq);
+                let blocked = [1, 4, 256].map(|b| BlockedCounts::with_block(&seq, b).unwrap());
+                let label = |layout: &str| format!("n = {n}, k = {k}, {layout}");
+                if k == 2 {
+                    check::<2>(&flat, &label("flat"));
+                    for (b, bc) in blocked.iter().enumerate() {
+                        check::<2>(bc, &label(&format!("blocked #{b}")));
+                    }
+                } else {
+                    check::<4>(&flat, &label("flat"));
+                    for (b, bc) in blocked.iter().enumerate() {
+                        check::<4>(bc, &label(&format!("blocked #{b}")));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
